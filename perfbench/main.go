@@ -6,10 +6,12 @@
 //
 // With --trace 0 it reports the end-to-end metrics a caller sees: set-up
 // time, the first op, the median op, heap allocated per op and peak
-// resident memory. With --trace 1 it times each layer's public calls
-// from this package, keeps the spans in memory, writes them under
-// .bench_build/perfbench at exit and reports the per-layer metrics. run.py builds
-// and runs it from the repository root.
+// resident memory. The times are scaled to the reference host's speed
+// by a calibration loop timed before every op (see calib.go); the raw
+// seconds are printed beside them. With --trace 1 it times each layer's
+// public calls from this package, keeps the spans in memory, writes them
+// under .bench_build/perfbench at exit and reports the per-layer
+// metrics. run.py builds and runs it from the repository root.
 package main
 
 import (
@@ -26,8 +28,10 @@ import (
 )
 
 // setupRounds is how many times an untraced run sets its workload up
-// and runs a first op; setup_s and first_op_s are the medians.
-const setupRounds = 3
+// and runs a first op; setup_s and first_op_s are the medians. The
+// rounds are spread over the whole run, each followed by steady ops,
+// so a slow spell of the host reaches few of them.
+const setupRounds = 5
 
 // metric is one reported number.
 type metric struct {
@@ -105,6 +109,8 @@ type opStats struct {
 	untraced, traced  []float64 // seconds of the op loop's ops
 	allocBytes        float64   // heap allocated by the loop's untraced ops
 	attempted, failed int
+	cal               *calibration // nil in a traced run
+	calibs            []float64    // seconds of the calibration before each op
 }
 
 // runOp prepares and runs op i, traced or not, checks it, and returns
@@ -112,6 +118,9 @@ type opStats struct {
 func (st *opStats) runOp(inst instance, tr *tracer, i int, traced bool) (float64, float64) {
 	var before, after runtime.MemStats
 	inst.prepare()
+	if st.cal != nil {
+		st.calibs = append(st.calibs, st.cal.sample())
+	}
 	// Every op starts from a collected heap, so no op pays for the
 	// garbage of the one before it.
 	runtime.GC()
@@ -140,35 +149,66 @@ func (st *opStats) runOp(inst instance, tr *tracer, i int, traced bool) (float64
 	return d, float64(after.TotalAlloc - before.TotalAlloc)
 }
 
+// setUp replaces *inst with a fresh instance of the workload, timing it
+// and its first op into st. The previous instance is closed and
+// collected first, so no two instances share the heap.
+func setUp(cfg config, inst *instance, tr *tracer, st *opStats) error {
+	if *inst != nil {
+		(*inst).close()
+		*inst = nil
+	}
+	runtime.GC()
+	t0 := time.Now()
+	fresh, err := cfg.workload.setup(cfg.seed)
+	if err != nil {
+		return fmt.Errorf("set-up: %w", err)
+	}
+	*inst = fresh
+	st.setups = append(st.setups, time.Since(t0).Seconds())
+	d, _ := st.runOp(fresh, tr, 0, tr != nil)
+	st.firsts = append(st.firsts, d)
+	return nil
+}
+
 func measure(cfg config, stdout io.Writer) (result, error) {
 	host := readHost()
 	var st opStats
-	// Each round sets the workload up afresh and runs its first op, so
-	// set-up and first-op times are medians too. The traced run needs
-	// one round, whose first op it traces.
-	rounds := setupRounds
-	if cfg.trace {
-		rounds = 1
-	}
-	var inst instance
 	var tr *tracer
 	if cfg.trace {
 		tr = newTracer()
+	} else {
+		var err error
+		if st.cal, err = newCalibration(); err != nil {
+			return result{}, err
+		}
 	}
-	for r := 0; r < rounds; r++ {
+	// A warm-up round, checked but not timed, faults in the heap the
+	// workload needs, so no timed round pays for the process being new.
+	var inst instance
+	defer func() {
 		if inst != nil {
 			inst.close()
 		}
-		t0 := time.Now()
-		var err error
-		if inst, err = cfg.workload.setup(cfg.seed); err != nil {
-			return result{}, fmt.Errorf("set-up: %w", err)
-		}
-		st.setups = append(st.setups, time.Since(t0).Seconds())
-		d, _ := st.runOp(inst, tr, 0, cfg.trace)
-		st.firsts = append(st.firsts, d)
+	}()
+	if err := setUp(cfg, &inst, nil, &st); err != nil {
+		return result{}, err
 	}
-	defer inst.close()
+	st.setups, st.firsts, st.calibs = nil, nil, nil
+	// An untraced run splits its seconds into setupRounds rounds of
+	// set-up, first op and steady ops. The traced run needs one round,
+	// whose first op it traces, then the probes and its op loop.
+	next := 1
+	start := time.Now()
+	for r := 0; r < setupRounds; r++ {
+		if err := setUp(cfg, &inst, tr, &st); err != nil {
+			return result{}, err
+		}
+		if cfg.trace {
+			break
+		}
+		deadline := start.Add(time.Duration(float64(r+1) / setupRounds * cfg.seconds * float64(time.Second)))
+		opLoop(inst, nil, &st, deadline, 1, &next)
+	}
 
 	var pr *probes
 	var pb *problem
@@ -181,9 +221,8 @@ func measure(cfg config, stdout io.Writer) (result, error) {
 		if err := runProbes(tr, host, pb, cfg.seed, pr); err != nil {
 			return result{}, fmt.Errorf("probes: %w", err)
 		}
+		opLoop(inst, tr, &st, time.Now().Add(time.Duration(cfg.seconds*float64(time.Second))), 4, &next)
 	}
-
-	opLoop(cfg, inst, tr, &st)
 	res := result{Attempted: st.attempted, Failed: st.failed, Metrics: map[string]metric{}}
 	if pr != nil {
 		res.Attempted += pr.attempts
@@ -225,12 +264,18 @@ func measure(cfg config, stdout io.Writer) (result, error) {
 			fmt.Fprintf(stdout, "  self time per traced op  %-10s %.6f s\n", l, self[l])
 		}
 	} else {
+		// Times are reported at the reference host's speed: each median
+		// is scaled by refCalS over the run's median calibration time.
+		cal := median(st.calibs)
+		scale := refCalS / cal
 		p50 := median(st.untraced)
-		res.Metrics["setup_s"] = metric{median(st.setups), "s"}
-		res.Metrics["first_op_s"] = metric{median(st.firsts), "s"}
-		res.Metrics["op_s_p50"] = metric{p50, "s"}
+		res.Metrics["setup_s"] = metric{median(st.setups) * scale, "s"}
+		res.Metrics["first_op_s"] = metric{median(st.firsts) * scale, "s"}
+		res.Metrics["op_s_p50"] = metric{p50 * scale, "s"}
 		res.Metrics["alloc_mb_per_op"] = metric{st.allocBytes / float64(len(st.untraced)) / 1e6, "MB"}
 		res.Metrics["peak_rss_mb"] = metric{float64(peakRSSBytes()) / 1e6, "MB"}
+		fmt.Fprintf(stdout, "calibration median %.5f s over %d samples, so times below are scaled by %.4f\n", cal, len(st.calibs), scale)
+		fmt.Fprintf(stdout, "raw seconds: setup_s %.6f first_op_s %.6f op_s_p50 %.6f\n", median(st.setups), median(st.firsts), p50)
 		fmt.Fprintf(stdout, "set-up seconds %.3f, first-op seconds %.3f\n", st.setups, st.firsts)
 		fmt.Fprintf(stdout, "op_s_p50 over %d ops (first ops excluded), quartiles %.4f..%.4f s; gflops %.4f GFLOP/s\n",
 			len(st.untraced), quantile(st.untraced, 0.25), quantile(st.untraced, 0.75), inst.flops()/p50/1e9)
@@ -247,16 +292,13 @@ func measure(cfg config, stdout io.Writer) (result, error) {
 	return res, nil
 }
 
-// opLoop runs ops for cfg.seconds, and at least until minLoopOps are
-// in. Traced runs alternate untraced and traced ops, so the two medians
-// share the same conditions.
-func opLoop(cfg config, inst instance, tr *tracer, st *opStats) {
-	minOps := 3
-	if tr != nil {
-		minOps = 4
-	}
-	start := time.Now()
-	for i := 1; ; i++ {
+// opLoop runs steady ops until deadline, and at least minOps of them;
+// *next is the id of the next op. Traced runs alternate untraced and
+// traced ops, so the two medians share the same conditions.
+func opLoop(inst instance, tr *tracer, st *opStats, deadline time.Time, minOps int, next *int) {
+	for n := 1; ; n++ {
+		i := *next
+		*next++
 		traced := tr != nil && i%2 == 0
 		d, alloc := st.runOp(inst, tr, i, traced)
 		if traced {
@@ -265,7 +307,7 @@ func opLoop(cfg config, inst instance, tr *tracer, st *opStats) {
 			st.untraced = append(st.untraced, d)
 			st.allocBytes += alloc
 		}
-		if i >= minOps && time.Since(start).Seconds() >= cfg.seconds {
+		if n >= minOps && !time.Now().Before(deadline) {
 			return
 		}
 	}
