@@ -33,9 +33,21 @@ package schedule
 // does not balance. The test suites additionally pin every optimized
 // program to its baseline bitwise through the simulator and the real
 // executor.
+//
+// Cost: near-linear in program size. Every Line is interned once into
+// a dense id, so all residency, blocker and event state is a slice
+// indexed by id; each capacity proof is a range-max and each commit a
+// range-add on a segment tree over the residency profile (optindex.go),
+// O(log n) instead of a walk over the gap; and the core pass's
+// other-core-use query is O(log u) in the line's use count u. The only
+// superlinear steps are those binary searches and sorting the (core,
+// line) chains once for the core pass's commit order.
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -114,29 +126,33 @@ const (
 	optCompute
 )
 
-// optCoreOp is one recorded core op. line is the destination for
-// optApply/optCompute; Compute keeps its original (i,j,k) so replay
-// re-emits the exact historical shorthand the backends expect.
+// optCoreOp is one recorded core op. Lines are optimizer-local ids into
+// the recorder's table: line is the operand of Stage/Unstage/Read/Write
+// and the destination of optApply/optCompute, srcs[:nsrc] the sources.
+// Compute keeps its original (i,j,k) so replay re-emits the exact
+// historical shorthand the backends expect.
 type optCoreOp struct {
 	kind       optOpKind
-	line       Line
 	kernel     Kernel
-	srcs       []Line
-	ci, cj, ck int
+	nsrc       uint8
 	drop       bool
+	line       uint32
+	srcs       [2]uint32
+	ci, cj, ck int32
 }
 
 type optDriverOp struct {
+	line  uint32
 	stage bool
-	line  Line
 	drop  bool
 }
 
-// optItem is one program-order step: exactly one driver op, or one
-// parallel region holding every core's recorded stream.
+// optItem is one program-order step: a driver op (region < 0), or the
+// index of one parallel region holding every core's recorded stream
+// (see optRecorder.span).
 type optItem struct {
-	driver *optDriverOp
-	region [][]optCoreOp
+	driver optDriverOp
+	region int32
 }
 
 // optArity mirrors Kernel.Arity without its panic: the recorder must
@@ -154,18 +170,36 @@ func optArity(k Kernel) (int, bool) {
 	return 0, false
 }
 
-// optRecorder captures a program's op stream into optItems. Any
-// malformation that would make replay unfaithful (driver ops inside a
-// region, nested regions, unknown kernels) poisons the recording and
-// Optimize returns the program unchanged.
+// optRecorder captures a program's op stream into optItems. Each Line
+// is interned once into a dense id (table maps it back), so every later
+// pass indexes slices instead of hashing coordinates. The core ops of
+// all regions are stored back to back in ops: the recorder drives the
+// cores of a region one after another, so core c's stream of region r
+// is the contiguous span ops[bounds[r·cores+c] : bounds[r·cores+c+1]].
+//
+// Any malformation that would make replay unfaithful (driver ops inside
+// a region, nested regions, core ops outside one, unknown kernels)
+// poisons the recording and Optimize returns the program unchanged.
 type optRecorder struct {
 	cores    int
 	items    []optItem
+	ops      []optCoreOp
+	bounds   []int32
+	regions  int32
+	ids      map[Line]uint32
+	table    []Line
 	inRegion bool
 	bad      string
 }
 
-var _ Backend = (*optRecorder)(nil)
+var (
+	_ Backend  = (*optRecorder)(nil)
+	_ CoreSink = (*optRecorder)(nil)
+)
+
+func newOptRecorder(cores int) *optRecorder {
+	return &optRecorder{cores: cores, bounds: []int32{0}, ids: make(map[Line]uint32)}
+}
 
 func (r *optRecorder) fail(reason string) {
 	if r.bad == "" {
@@ -173,12 +207,28 @@ func (r *optRecorder) fail(reason string) {
 	}
 }
 
+func (r *optRecorder) intern(l Line) uint32 {
+	if id, ok := r.ids[l]; ok {
+		return id
+	}
+	id := uint32(len(r.table))
+	r.ids[l] = id
+	r.table = append(r.table, l)
+	return id
+}
+
+// span returns the op index range of core c's stream in region reg.
+func (r *optRecorder) span(reg int32, c int) (lo, hi int32) {
+	b := int(reg)*r.cores + c
+	return r.bounds[b], r.bounds[b+1]
+}
+
 func (r *optRecorder) driver(stage bool, l Line) {
 	if r.inRegion {
 		r.fail("driver op inside a parallel region")
 		return
 	}
-	r.items = append(r.items, optItem{driver: &optDriverOp{stage: stage, line: l}})
+	r.items = append(r.items, optItem{driver: optDriverOp{stage: stage, line: r.intern(l)}, region: -1})
 }
 
 func (r *optRecorder) StageShared(l Line)   { r.driver(true, l) }
@@ -190,46 +240,60 @@ func (r *optRecorder) Parallel(body func(core int, ops CoreSink)) {
 		return
 	}
 	r.inRegion = true
-	region := make([][]optCoreOp, r.cores)
 	for c := 0; c < r.cores; c++ {
-		body(c, &optRecordSink{rec: r, ops: &region[c]})
+		body(c, r)
+		r.bounds = append(r.bounds, int32(len(r.ops)))
 	}
 	r.inRegion = false
-	r.items = append(r.items, optItem{region: region})
+	r.items = append(r.items, optItem{region: r.regions})
+	r.regions++
 }
 
-type optRecordSink struct {
-	rec *optRecorder
-	ops *[]optCoreOp
+func (r *optRecorder) core(op optCoreOp) {
+	if !r.inRegion {
+		r.fail("core op outside a parallel region")
+		return
+	}
+	if len(r.ops) == cap(r.ops) {
+		// Double rather than let append grow by 1.25×: the recording is
+		// the optimizer's largest buffer, and every regrowth copies it.
+		r.ops = append(make([]optCoreOp, 0, 2*cap(r.ops)+1024), r.ops...)
+	}
+	r.ops = append(r.ops, op)
 }
 
-var _ CoreSink = (*optRecordSink)(nil)
+func (r *optRecorder) Stage(l Line)   { r.core(optCoreOp{kind: optStage, line: r.intern(l)}) }
+func (r *optRecorder) Unstage(l Line) { r.core(optCoreOp{kind: optUnstage, line: r.intern(l)}) }
+func (r *optRecorder) Read(l Line)    { r.core(optCoreOp{kind: optRead, line: r.intern(l)}) }
+func (r *optRecorder) Write(l Line)   { r.core(optCoreOp{kind: optWrite, line: r.intern(l)}) }
 
-func (s *optRecordSink) Stage(l Line) { *s.ops = append(*s.ops, optCoreOp{kind: optStage, line: l}) }
-func (s *optRecordSink) Unstage(l Line) {
-	*s.ops = append(*s.ops, optCoreOp{kind: optUnstage, line: l})
-}
-func (s *optRecordSink) Read(l Line)  { *s.ops = append(*s.ops, optCoreOp{kind: optRead, line: l}) }
-func (s *optRecordSink) Write(l Line) { *s.ops = append(*s.ops, optCoreOp{kind: optWrite, line: l}) }
-
-func (s *optRecordSink) Apply(k Kernel, dest Line, srcs ...Line) {
+func (r *optRecorder) Apply(k Kernel, dest Line, srcs ...Line) {
 	ar, ok := optArity(k)
 	if !ok {
-		s.rec.fail(fmt.Sprintf("unknown kernel %v", k))
+		r.fail(fmt.Sprintf("unknown kernel %v", k))
 		return
 	}
 	if len(srcs) != ar {
-		s.rec.fail(fmt.Sprintf("%v applied to %d sources, want %d", k, len(srcs), ar))
+		r.fail(fmt.Sprintf("%v applied to %d sources, want %d", k, len(srcs), ar))
 		return
 	}
-	*s.ops = append(*s.ops, optCoreOp{kind: optApply, kernel: k, line: dest, srcs: append([]Line(nil), srcs...)})
+	op := optCoreOp{kind: optApply, kernel: k, line: r.intern(dest), nsrc: uint8(ar)}
+	for i, s := range srcs {
+		op.srcs[i] = r.intern(s)
+	}
+	r.core(op)
 }
 
-func (s *optRecordSink) Compute(i, j, k int) {
-	*s.ops = append(*s.ops, optCoreOp{
+func (r *optRecorder) Compute(i, j, k int) {
+	if int(int32(i)) != i || int(int32(j)) != j || int(int32(k)) != k {
+		r.fail(fmt.Sprintf("compute coordinates (%d,%d,%d) out of range", i, j, k))
+		return
+	}
+	r.core(optCoreOp{
 		kind: optCompute, kernel: MulAdd,
-		line: LineC(i, j), srcs: []Line{LineA(i, k), LineB(k, j)},
-		ci: i, cj: j, ck: k,
+		line: r.intern(LineC(i, j)), nsrc: 2,
+		srcs: [2]uint32{r.intern(LineA(i, k)), r.intern(LineB(k, j))},
+		ci:   int32(i), cj: int32(j), ck: int32(k),
 	})
 }
 
@@ -243,16 +307,17 @@ const (
 // optUse is one region-level reference to a line: which item, which
 // core, read or write. Uses are the blocker index of both passes — a
 // shared gap may not contain any, and a core-reuse window may not
-// contain a conflicting one from another core.
+// contain a conflicting one from another core. The next* fields are
+// that second query's index, filled by optIndexUses.
 type optUse struct {
-	item  int
-	core  int
+	item  int32
+	core  int32
 	flags uint8
-}
-
-type optCoreLineKey struct {
-	core int
-	line Line
+	// nextForeign is the next use by a core other than this use's,
+	// nextWrite the first write at or after this use, and — on writes
+	// only — nextForeignWrite the next write by another core; len(uses)
+	// when there is none.
+	nextForeign, nextWrite, nextForeignWrite int32
 }
 
 // optCoreEvent is one Stage/Unstage of a line by one core: its position
@@ -260,12 +325,27 @@ type optCoreLineKey struct {
 // item and op index (for drop marking), and — for unstages — whether
 // the hold being closed was dirty.
 type optCoreEvent struct {
-	pos   int
-	item  int
-	opIdx int
+	pos   int32
+	item  int32
+	op    int32
 	stage bool
 	dirty bool
 }
+
+// optCoreChain is one core's alternating stage/unstage events on one
+// line.
+type optCoreChain struct {
+	core int32
+	line uint32
+	evts []optCoreEvent
+}
+
+// Residency states of a line in one cache, as a byte per line id.
+const (
+	optAbsent uint8 = iota
+	optClean
+	optDirty
+)
 
 type optAnalysis struct {
 	chips      int
@@ -277,21 +357,50 @@ type optAnalysis struct {
 	// likewise for one core's flattened stream. The passes prove
 	// capacity pointwise against these profiles plus their own
 	// committed extras.
-	resBefore     [][]int
-	coreResBefore [][]int
+	resBefore     [][]int32
+	coreResBefore [][]int32
 
 	sharedPeak []int
 	corePeak   int
 	computes   uint64
 
-	sharedEvents map[Line][]int // driver item indices per line, alternating stage/unstage
-	lineUses     map[Line][]optUse
-	coreEvents   map[optCoreLineKey][]optCoreEvent
+	// Indexed by line id: driver item indices per line, alternating
+	// stage/unstage, and every region-level use in program order.
+	sharedEvents [][]int32
+	lineUses     [][]optUse
+	// chains holds every (core, line) stage/unstage chain, in the order
+	// their first stage was seen.
+	chains []optCoreChain
 
 	sharedStages   []uint64 // per home chip
 	sharedUnstages []uint64
 	coreStages     []uint64 // per staging core's chip
 	coreUnstages   []uint64
+}
+
+func (a *optAnalysis) addUse(item, core int32, l uint32, flags uint8) {
+	us := a.lineUses[l]
+	if n := len(us); n > 0 && us[n-1].item == item && us[n-1].core == core {
+		us[n-1].flags |= flags
+		return
+	}
+	a.lineUses[l] = append(us, optUse{item: item, core: core, flags: flags})
+}
+
+// optCoreState is one core's residency during the scan: a state byte
+// per line id (allocated when the core first stages), the resident
+// count, and the index+1 of each line's chain in optAnalysis.chains.
+type optCoreState struct {
+	resident []uint8
+	chainOf  []int32
+	count    int
+}
+
+func (st *optCoreState) state(l uint32) uint8 {
+	if st.resident == nil {
+		return optAbsent
+	}
+	return st.resident[l]
 }
 
 // optAnalyze scans the recorded stream once, building the blocker and
@@ -300,178 +409,193 @@ type optAnalysis struct {
 // streams proven linear (alternating stage/unstage per line and level,
 // no leaks, no use of an unstaged line, no unstage of a held line, no
 // stage of a line another core holds dirty) are ever rewritten.
-func optAnalyze(p *Program, items []optItem) (*optAnalysis, string) {
+func optAnalyze(p *Program, rec *optRecorder) (*optAnalysis, string) {
 	chips := p.Resources.ChipCount()
+	nl := len(rec.table)
 	a := &optAnalysis{
 		chips:          chips,
-		resBefore:      make([][]int, chips),
-		coreResBefore:  make([][]int, p.Cores),
+		resBefore:      make([][]int32, chips),
+		coreResBefore:  make([][]int32, p.Cores),
 		sharedPeak:     make([]int, chips),
-		sharedEvents:   make(map[Line][]int),
-		lineUses:       make(map[Line][]optUse),
-		coreEvents:     make(map[optCoreLineKey][]optCoreEvent),
+		sharedEvents:   make([][]int32, nl),
+		lineUses:       make([][]optUse, nl),
 		sharedStages:   make([]uint64, chips),
 		sharedUnstages: make([]uint64, chips),
 		coreStages:     make([]uint64, chips),
 		coreUnstages:   make([]uint64, chips),
 	}
 	for ch := range a.resBefore {
-		a.resBefore[ch] = make([]int, len(items))
+		a.resBefore[ch] = make([]int32, len(rec.items))
 	}
-	for _, it := range items {
-		if it.driver != nil {
+	for _, it := range rec.items {
+		if it.region < 0 {
 			a.sharedProg = true
-			continue
-		}
-		for _, ops := range it.region {
-			for _, op := range ops {
-				if op.kind == optStage || op.kind == optUnstage {
-					a.coreProg = true
-				}
-			}
+			break
 		}
 	}
-
-	addUse := func(item, core int, l Line, flags uint8) {
-		us := a.lineUses[l]
-		if n := len(us); n > 0 && us[n-1].item == item && us[n-1].core == core {
-			us[n-1].flags |= flags
-			return
+	for i := range rec.ops {
+		if k := rec.ops[i].kind; k == optStage || k == optUnstage {
+			a.coreProg = true
+			break
 		}
-		a.lineUses[l] = append(us, optUse{item: item, core: core, flags: flags})
+	}
+	perCore := make([]int, p.Cores)
+	for reg := int32(0); reg < rec.regions; reg++ {
+		for c := range perCore {
+			lo, hi := rec.span(reg, c)
+			perCore[c] += int(hi - lo)
+		}
+	}
+	for c, n := range perCore {
+		a.coreResBefore[c] = make([]int32, 0, n)
 	}
 
-	sharedRes := make(map[Line]struct{})
-	res := make([]int, chips)
-	holders := make(map[Line]map[int]struct{})
-	dirtyBy := make(map[Line]int)
-	type coreState struct{ resident map[Line]bool } // value: dirty
-	cores := make([]coreState, p.Cores)
-	for c := range cores {
-		cores[c].resident = make(map[Line]bool)
+	sharedRes := make([]bool, nl)
+	sharedCount := 0
+	res := make([]int32, chips)
+	holders := make([]int32, nl)
+	dirtyBy := make([]int32, nl) // the core holding the line dirty, or -1
+	for i := range dirtyBy {
+		dirtyBy[i] = -1
 	}
+	cores := make([]optCoreState, p.Cores)
+	line := func(l uint32) Line { return rec.table[l] }
 
-	for t, it := range items {
+	for t, it := range rec.items {
+		t32 := int32(t)
 		for ch := 0; ch < chips; ch++ {
 			a.resBefore[ch][t] = res[ch]
 		}
-		if d := it.driver; d != nil {
-			ch := p.HomeOf(d.line)
+		if it.region < 0 {
+			d := it.driver
+			ch := p.HomeOf(line(d.line))
 			if d.stage {
-				if _, ok := sharedRes[d.line]; ok {
-					return nil, fmt.Sprintf("shared double stage of %v", d.line)
+				if sharedRes[d.line] {
+					return nil, fmt.Sprintf("shared double stage of %v", line(d.line))
 				}
-				sharedRes[d.line] = struct{}{}
+				sharedRes[d.line] = true
+				sharedCount++
 				res[ch]++
-				if res[ch] > a.sharedPeak[ch] {
-					a.sharedPeak[ch] = res[ch]
+				if int(res[ch]) > a.sharedPeak[ch] {
+					a.sharedPeak[ch] = int(res[ch])
 				}
 				a.sharedStages[ch]++
 			} else {
-				if _, ok := sharedRes[d.line]; !ok {
-					return nil, fmt.Sprintf("shared unstage of non-resident %v", d.line)
+				if !sharedRes[d.line] {
+					return nil, fmt.Sprintf("shared unstage of non-resident %v", line(d.line))
 				}
-				if len(holders[d.line]) > 0 {
-					return nil, fmt.Sprintf("shared unstage of %v while a core holds it", d.line)
+				if holders[d.line] > 0 {
+					return nil, fmt.Sprintf("shared unstage of %v while a core holds it", line(d.line))
 				}
-				delete(sharedRes, d.line)
+				sharedRes[d.line] = false
+				sharedCount--
 				res[ch]--
 				a.sharedUnstages[ch]++
 			}
-			a.sharedEvents[d.line] = append(a.sharedEvents[d.line], t)
+			a.sharedEvents[d.line] = append(a.sharedEvents[d.line], t32)
 			continue
 		}
-		for c := range it.region {
+		for c := range cores {
 			st := &cores[c]
+			c32 := int32(c)
 			chip := p.ChipOfCore(c)
-			for oi := range it.region[c] {
-				op := &it.region[c][oi]
-				pos := len(a.coreResBefore[c])
-				a.coreResBefore[c] = append(a.coreResBefore[c], len(st.resident))
+			lo, hi := rec.span(it.region, c)
+			for oi := lo; oi < hi; oi++ {
+				op := &rec.ops[oi]
+				pos := int32(len(a.coreResBefore[c]))
+				a.coreResBefore[c] = append(a.coreResBefore[c], int32(st.count))
+				l := op.line
 				switch op.kind {
 				case optStage:
-					if _, ok := st.resident[op.line]; ok {
-						return nil, fmt.Sprintf("core %d double stage of %v", c, op.line)
+					if st.state(l) != optAbsent {
+						return nil, fmt.Sprintf("core %d double stage of %v", c, line(l))
 					}
-					if a.sharedProg {
-						if _, ok := sharedRes[op.line]; !ok {
-							return nil, fmt.Sprintf("core %d stage of %v while not shared-resident", c, op.line)
-						}
+					if a.sharedProg && !sharedRes[l] {
+						return nil, fmt.Sprintf("core %d stage of %v while not shared-resident", c, line(l))
 					}
-					if d, ok := dirtyBy[op.line]; ok && d != c {
-						return nil, fmt.Sprintf("core %d stage of %v held dirty by core %d", c, op.line, d)
+					if d := dirtyBy[l]; d >= 0 && d != c32 {
+						return nil, fmt.Sprintf("core %d stage of %v held dirty by core %d", c, line(l), d)
 					}
-					st.resident[op.line] = false
-					if len(st.resident) > a.corePeak {
-						a.corePeak = len(st.resident)
+					if st.resident == nil {
+						st.resident = make([]uint8, nl)
+						st.chainOf = make([]int32, nl)
 					}
-					if holders[op.line] == nil {
-						holders[op.line] = make(map[int]struct{})
+					st.resident[l] = optClean
+					st.count++
+					if st.count > a.corePeak {
+						a.corePeak = st.count
 					}
-					holders[op.line][c] = struct{}{}
+					holders[l]++
 					a.coreStages[chip]++
-					a.coreEvents[optCoreLineKey{c, op.line}] = append(a.coreEvents[optCoreLineKey{c, op.line}],
-						optCoreEvent{pos: pos, item: t, opIdx: oi, stage: true})
-					addUse(t, c, op.line, optUseRead)
-				case optUnstage:
-					dirty, ok := st.resident[op.line]
-					if !ok {
-						return nil, fmt.Sprintf("core %d unstage of non-resident %v", c, op.line)
+					if st.chainOf[l] == 0 {
+						a.chains = append(a.chains, optCoreChain{core: c32, line: l})
+						st.chainOf[l] = int32(len(a.chains))
 					}
-					delete(st.resident, op.line)
-					delete(holders[op.line], c)
-					if d, held := dirtyBy[op.line]; held && d == c && dirty {
-						delete(dirtyBy, op.line)
+					ch := &a.chains[st.chainOf[l]-1]
+					ch.evts = append(ch.evts, optCoreEvent{pos: pos, item: t32, op: oi, stage: true})
+					a.addUse(t32, c32, l, optUseRead)
+				case optUnstage:
+					s := st.state(l)
+					if s == optAbsent {
+						return nil, fmt.Sprintf("core %d unstage of non-resident %v", c, line(l))
+					}
+					dirty := s == optDirty
+					st.resident[l] = optAbsent
+					st.count--
+					holders[l]--
+					if dirty && dirtyBy[l] == c32 {
+						dirtyBy[l] = -1
 					}
 					a.coreUnstages[chip]++
-					a.coreEvents[optCoreLineKey{c, op.line}] = append(a.coreEvents[optCoreLineKey{c, op.line}],
-						optCoreEvent{pos: pos, item: t, opIdx: oi, stage: false, dirty: dirty})
+					ch := &a.chains[st.chainOf[l]-1]
+					ch.evts = append(ch.evts, optCoreEvent{pos: pos, item: t32, op: oi, dirty: dirty})
 					if dirty {
-						addUse(t, c, op.line, optUseWrite)
+						a.addUse(t32, c32, l, optUseWrite)
 					} else {
-						addUse(t, c, op.line, optUseRead)
+						a.addUse(t32, c32, l, optUseRead)
 					}
 				case optRead:
-					addUse(t, c, op.line, optUseRead)
+					a.addUse(t32, c32, l, optUseRead)
 				case optWrite:
-					addUse(t, c, op.line, optUseWrite)
+					a.addUse(t32, c32, l, optUseWrite)
 				case optApply, optCompute:
+					srcs := op.srcs[:op.nsrc]
 					if a.coreProg {
-						if _, ok := st.resident[op.line]; !ok {
-							return nil, fmt.Sprintf("core %d applies %v to unstaged %v", c, op.kernel, op.line)
+						if st.state(l) == optAbsent {
+							return nil, fmt.Sprintf("core %d applies %v to unstaged %v", c, op.kernel, line(l))
 						}
-						for _, src := range op.srcs {
-							if _, ok := st.resident[src]; !ok {
-								return nil, fmt.Sprintf("core %d applies %v reading unstaged %v", c, op.kernel, src)
+						for _, src := range srcs {
+							if st.state(src) == optAbsent {
+								return nil, fmt.Sprintf("core %d applies %v reading unstaged %v", c, op.kernel, line(src))
 							}
 						}
-						st.resident[op.line] = true
-						dirtyBy[op.line] = c
+						st.resident[l] = optDirty
+						dirtyBy[l] = c32
 					} else if a.sharedProg {
-						if _, ok := sharedRes[op.line]; !ok {
-							return nil, fmt.Sprintf("core %d applies %v to non-shared-resident %v", c, op.kernel, op.line)
+						if !sharedRes[l] {
+							return nil, fmt.Sprintf("core %d applies %v to non-shared-resident %v", c, op.kernel, line(l))
 						}
-						for _, src := range op.srcs {
-							if _, ok := sharedRes[src]; !ok {
-								return nil, fmt.Sprintf("core %d applies %v reading non-shared-resident %v", c, op.kernel, src)
+						for _, src := range srcs {
+							if !sharedRes[src] {
+								return nil, fmt.Sprintf("core %d applies %v reading non-shared-resident %v", c, op.kernel, line(src))
 							}
 						}
 					}
 					a.computes++
-					for _, src := range op.srcs {
-						addUse(t, c, src, optUseRead)
+					for _, src := range srcs {
+						a.addUse(t32, c32, src, optUseRead)
 					}
-					addUse(t, c, op.line, optUseWrite)
+					a.addUse(t32, c32, l, optUseWrite)
 				}
 			}
 		}
 	}
-	if len(sharedRes) > 0 {
-		return nil, fmt.Sprintf("%d shared lines leaked at exit", len(sharedRes))
+	if sharedCount > 0 {
+		return nil, fmt.Sprintf("%d shared lines leaked at exit", sharedCount)
 	}
 	for c := range cores {
-		if len(cores[c].resident) > 0 {
-			return nil, fmt.Sprintf("core %d leaks %d staged lines at exit", c, len(cores[c].resident))
+		if cores[c].count > 0 {
+			return nil, fmt.Sprintf("core %d leaks %d staged lines at exit", c, cores[c].count)
 		}
 	}
 	return a, ""
@@ -506,53 +630,43 @@ func (a *optAnalysis) workingSet() WorkingSet {
 // raises the chip's residency profile over its span so later candidates
 // are checked against what has already been kept resident. Returns the
 // elided pair count per home chip.
-func optSharedPass(p *Program, items []optItem, a *optAnalysis) []uint64 {
+func optSharedPass(p *Program, rec *optRecorder, a *optAnalysis) []uint64 {
 	elided := make([]uint64, a.chips)
 	cs := p.Resources.SharedBlocks
 	if cs <= 0 {
 		return elided
 	}
-	type cand struct {
-		line Line
-		u, s int
-	}
-	var cands []cand
-	for l, evts := range a.sharedEvents {
-		// Events alternate stage/unstage starting with a stage, so
-		// odd indices are unstages; pair each with the stage after it.
-		for i := 1; i+1 < len(evts); i += 2 {
-			cands = append(cands, cand{line: l, u: evts[i], s: evts[i+1]})
-		}
-	}
-	// Item indices are unique across candidates, so ordering by the
-	// unstage's index is total: commit order is deterministic.
-	sort.Slice(cands, func(i, j int) bool { return cands[i].u < cands[j].u })
-	extra := make([][]int, a.chips)
-	for ch := range extra {
-		extra[ch] = make([]int, len(items))
-	}
-	for _, c := range cands {
-		us := a.lineUses[c.line]
-		i := sort.Search(len(us), func(i int) bool { return us[i].item > c.u })
-		if i < len(us) && us[i].item < c.s {
-			continue // the gap references l: the unstage is live
-		}
-		ch := p.HomeOf(c.line)
-		ok := true
-		for t := c.u + 1; t <= c.s; t++ {
-			if a.resBefore[ch][t]+extra[ch][t]+1 > cs {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+	profile := make([]*optMaxTree, a.chips) // built on a chip's first candidate
+	seen := make([]int32, len(rec.table))   // events of each line visited so far
+	for u, it := range rec.items {
+		if it.region >= 0 {
 			continue
 		}
-		items[c.u].driver.drop = true
-		items[c.s].driver.drop = true
-		for t := c.u + 1; t <= c.s; t++ {
-			extra[ch][t]++
+		l := it.driver.line
+		k := int(seen[l])
+		seen[l]++
+		// Events alternate stage/unstage starting with a stage, so odd
+		// indices are unstages; pair each with the stage after it.
+		evts := a.sharedEvents[l]
+		if k%2 == 0 || k+1 >= len(evts) {
+			continue
 		}
+		s := int(evts[k+1])
+		us := a.lineUses[l]
+		i := sort.Search(len(us), func(i int) bool { return int(us[i].item) > u })
+		if i < len(us) && int(us[i].item) < s {
+			continue // the gap references l: the unstage is live
+		}
+		ch := p.HomeOf(rec.table[l])
+		if profile[ch] == nil {
+			profile[ch] = newOptMaxTree(a.resBefore[ch])
+		}
+		if int(profile[ch].max(u+1, s+1))+1 > cs {
+			continue
+		}
+		rec.items[u].driver.drop = true
+		rec.items[s].driver.drop = true
+		profile[ch].add(u+1, s+1, 1)
 		elided[ch]++
 	}
 	return elided
@@ -569,81 +683,73 @@ func optSharedPass(p *Program, items []optItem, a *optAnalysis) []uint64 {
 // since the physical arena slot stays dirty. A surviving driver op on
 // l inside the gap always blocks (the extended hold would overlap the
 // shared-level unstage). Capacity is proven against the core's own
-// residency profile, like the shared pass. Returns elided pairs per
-// staging core's chip.
-func optCorePass(p *Program, items []optItem, a *optAnalysis) []uint64 {
+// residency profile, like the shared pass. Chains commit in (core,
+// Matrix, Row, Col) order — commits on one core share its profile, so
+// the order is part of the result. Returns elided pairs per staging
+// core's chip.
+func optCorePass(p *Program, rec *optRecorder, a *optAnalysis) []uint64 {
 	elided := make([]uint64, a.chips)
 	cd := p.Resources.CoreBlocks
 	if cd <= 0 {
 		return elided
 	}
-	surv := make(map[Line][]int, len(a.sharedEvents))
+	// Surviving driver events per line, carved from one buffer.
+	var nsurv int
+	for _, evts := range a.sharedEvents {
+		nsurv += len(evts)
+	}
+	buf := make([]int32, 0, nsurv)
+	surv := make([][]int32, len(a.sharedEvents))
 	for l, evts := range a.sharedEvents {
+		start := len(buf)
 		for _, t := range evts {
-			if !items[t].driver.drop {
-				surv[l] = append(surv[l], t)
+			if !rec.items[t].driver.drop {
+				buf = append(buf, t)
 			}
 		}
+		surv[l] = buf[start:len(buf):len(buf)]
 	}
-	keys := make([]optCoreLineKey, 0, len(a.coreEvents))
-	for k := range a.coreEvents {
-		keys = append(keys, k)
+	for _, us := range a.lineUses {
+		optIndexUses(us)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.core != b.core {
-			return a.core < b.core
+
+	slices.SortFunc(a.chains, func(x, y optCoreChain) int {
+		if x.core != y.core {
+			return cmp.Compare(x.core, y.core)
 		}
-		if a.line.Matrix != b.line.Matrix {
-			return a.line.Matrix < b.line.Matrix
+		lx, ly := rec.table[x.line], rec.table[y.line]
+		if lx.Matrix != ly.Matrix {
+			return cmp.Compare(lx.Matrix, ly.Matrix)
 		}
-		if a.line.Row != b.line.Row {
-			return a.line.Row < b.line.Row
+		if lx.Row != ly.Row {
+			return cmp.Compare(lx.Row, ly.Row)
 		}
-		return a.line.Col < b.line.Col
+		return cmp.Compare(lx.Col, ly.Col)
 	})
-	coreExtra := make([][]int, p.Cores)
-	for _, k := range keys {
-		evts := a.coreEvents[k]
+
+	profile := make([]*optMaxTree, p.Cores) // built on a core's first capacity check
+	for _, k := range a.chains {
+		evts := k.evts
 		last := evts[len(evts)-1].item // the chain's final unstage, never dropped
 		carry := false                 // an elided merge is still pending
+		ds, us := surv[k.line], a.lineUses[k.line]
 		for i := 1; i+1 < len(evts); i += 2 {
 			open, u, s := evts[i-1], evts[i], evts[i+1]
 			effDirty := u.dirty || carry
-			blocked := false
-			ds := surv[k.line]
 			di := sort.Search(len(ds), func(i int) bool { return ds[i] > u.item })
-			if di < len(ds) && ds[di] < s.item {
-				blocked = true
-			}
+			blocked := di < len(ds) && ds[di] < s.item
 			if !blocked {
-				lo, hi, any := u.item, last, true
-				if !effDirty {
-					lo, hi, any = open.item, s.item, false
-				}
-				us := a.lineUses[k.line]
-				ui := sort.Search(len(us), func(i int) bool { return us[i].item >= lo })
-				for ; ui < len(us) && us[ui].item <= hi; ui++ {
-					if us[ui].core == k.core {
-						continue
-					}
-					if any || us[ui].flags&optUseWrite != 0 {
-						blocked = true
-						break
-					}
+				if effDirty {
+					blocked = optForeignUse(us, k.core, u.item, last, false)
+				} else {
+					blocked = optForeignUse(us, k.core, open.item, s.item, true)
 				}
 			}
 			if !blocked {
-				if coreExtra[k.core] == nil {
-					coreExtra[k.core] = make([]int, len(a.coreResBefore[k.core]))
+				if profile[k.core] == nil {
+					profile[k.core] = newOptMaxTree(a.coreResBefore[k.core])
 				}
-				ex := coreExtra[k.core]
-				for pos := u.pos + 1; pos <= s.pos; pos++ {
-					if a.coreResBefore[k.core][pos]+ex[pos]+1 > cd {
-						blocked = true
-						break
-					}
-				}
+				blocked = int(profile[k.core].max(int(u.pos)+1, int(s.pos)+1))+1 > cd
 			}
 			if blocked {
 				// The unstage survives; a pending merge lands here
@@ -651,12 +757,10 @@ func optCorePass(p *Program, items []optItem, a *optAnalysis) []uint64 {
 				carry = false
 				continue
 			}
-			items[u.item].region[k.core][u.opIdx].drop = true
-			items[s.item].region[k.core][s.opIdx].drop = true
-			for pos := u.pos + 1; pos <= s.pos; pos++ {
-				coreExtra[k.core][pos]++
-			}
-			elided[p.ChipOfCore(k.core)]++
+			rec.ops[u.op].drop = true
+			rec.ops[s.op].drop = true
+			profile[k.core].add(int(u.pos)+1, int(s.pos)+1, 1)
+			elided[p.ChipOfCore(int(k.core))]++
 			carry = effDirty
 		}
 	}
@@ -675,67 +779,72 @@ type optModelCounts struct {
 // levels, optionally honouring the passes' drop marks. Running it
 // twice — baseline and optimized — yields the report's writeback
 // ledger and an independent check on the stage ledger.
-func optModel(p *Program, items []optItem, a *optAnalysis, honorDrops bool) optModelCounts {
+func optModel(p *Program, rec *optRecorder, a *optAnalysis, honorDrops bool) optModelCounts {
 	m := optModelCounts{
 		msStage: make([]uint64, a.chips),
 		msWB:    make([]uint64, a.chips),
 		mdStage: make([]uint64, a.chips),
 		mdWB:    make([]uint64, a.chips),
 	}
-	sharedRes := make(map[Line]bool) // resident → dirty
-	coreRes := make([]map[Line]bool, p.Cores)
-	for t := range items {
-		if d := items[t].driver; d != nil {
+	nl := len(rec.table)
+	shared := make([]uint8, nl)
+	coreRes := make([][]uint8, p.Cores) // allocated on a core's first stage
+	for _, it := range rec.items {
+		if it.region < 0 {
+			d := it.driver
 			if honorDrops && d.drop {
 				continue
 			}
-			ch := p.HomeOf(d.line)
+			ch := p.HomeOf(rec.table[d.line])
 			if d.stage {
 				m.msStage[ch]++
-				sharedRes[d.line] = false
+				shared[d.line] = optClean
 			} else {
-				if sharedRes[d.line] {
+				if shared[d.line] == optDirty {
 					m.msWB[ch]++
 				}
-				delete(sharedRes, d.line)
+				shared[d.line] = optAbsent
 			}
 			continue
 		}
-		for c := range items[t].region {
+		for c := range coreRes {
 			chip := p.ChipOfCore(c)
-			for oi := range items[t].region[c] {
-				op := &items[t].region[c][oi]
+			lo, hi := rec.span(it.region, c)
+			for oi := lo; oi < hi; oi++ {
+				op := &rec.ops[oi]
 				if honorDrops && op.drop {
 					continue
 				}
+				l := op.line
 				switch op.kind {
 				case optStage:
 					if coreRes[c] == nil {
-						coreRes[c] = make(map[Line]bool)
+						coreRes[c] = make([]uint8, nl)
 					}
 					m.mdStage[chip]++
-					coreRes[c][op.line] = false
+					coreRes[c][l] = optClean
 				case optUnstage:
-					if coreRes[c][op.line] {
+					if coreRes[c] == nil {
+						break
+					}
+					if coreRes[c][l] == optDirty {
 						m.mdWB[chip]++
-						if _, ok := sharedRes[op.line]; ok {
-							sharedRes[op.line] = true
+						if shared[l] != optAbsent {
+							shared[l] = optDirty
 						}
 					}
-					delete(coreRes[c], op.line)
+					coreRes[c][l] = optAbsent
 				case optWrite:
-					if !a.coreProg {
-						if _, ok := sharedRes[op.line]; ok {
-							sharedRes[op.line] = true
-						}
+					if !a.coreProg && shared[l] != optAbsent {
+						shared[l] = optDirty
 					}
 				case optApply, optCompute:
 					if a.coreProg {
-						if _, ok := coreRes[c][op.line]; ok {
-							coreRes[c][op.line] = true
+						if coreRes[c] != nil && coreRes[c][l] != optAbsent {
+							coreRes[c][l] = optDirty
 						}
-					} else if _, ok := sharedRes[op.line]; ok {
-						sharedRes[op.line] = true
+					} else if shared[l] != optAbsent {
+						shared[l] = optDirty
 					}
 				}
 			}
@@ -746,66 +855,124 @@ func optModel(p *Program, items []optItem, a *optAnalysis, honorDrops bool) optM
 
 // rebuild -------------------------------------------------------------
 
+// optReplay is what an optimized Body replays: the recorded core ops
+// with their drop marks, the line table, and the sources of every Apply
+// resolved once into srcs (CoreSink.Apply takes a slice, and handing
+// it a persistent one keeps replay allocation-free). srcAt, parallel to
+// the recorder's bounds, is where each region-core's sources start.
+type optReplay struct {
+	cores  int
+	ops    []optCoreOp
+	bounds []int32
+	table  []Line
+	srcs   []Line
+	srcAt  []int32
+}
+
+// region returns the Parallel body replaying region reg.
+func (rp *optReplay) region(reg int32) func(core int, ops CoreSink) {
+	return func(core int, ops CoreSink) {
+		if core < 0 || core >= rp.cores {
+			return
+		}
+		b := int(reg)*rp.cores + core
+		si := rp.srcAt[b]
+		for oi := rp.bounds[b]; oi < rp.bounds[b+1]; oi++ {
+			op := &rp.ops[oi]
+			if op.drop {
+				continue
+			}
+			switch op.kind {
+			case optStage:
+				ops.Stage(rp.table[op.line])
+			case optUnstage:
+				ops.Unstage(rp.table[op.line])
+			case optRead:
+				ops.Read(rp.table[op.line])
+			case optWrite:
+				ops.Write(rp.table[op.line])
+			case optApply:
+				var srcs []Line
+				if n := int32(op.nsrc); n > 0 {
+					srcs = rp.srcs[si : si+n : si+n]
+					si += n
+				}
+				ops.Apply(op.kernel, rp.table[op.line], srcs...)
+			case optCompute:
+				ops.Compute(int(op.ci), int(op.cj), int(op.ck))
+			}
+		}
+	}
+}
+
+// optStep is one step of an optimized Body: a surviving driver op, or
+// a region with at least one surviving op.
+type optStep struct {
+	line   Line
+	stage  bool
+	region func(core int, ops CoreSink)
+}
+
 // optRebuild returns a copy of p whose Body replays the recorded
 // stream, skipping dropped ops and regions left entirely empty (an
 // empty region is a pure barrier — removing it shrinks the pipelined
-// critical path and changes no core's stream).
-func optRebuild(p *Program, items []optItem) *Program {
+// critical path and changes no core's stream). Everything a replay
+// needs is resolved here, once, so the Body itself allocates nothing.
+func optRebuild(p *Program, rec *optRecorder) *Program {
+	rp := &optReplay{
+		cores:  rec.cores,
+		ops:    rec.ops,
+		bounds: rec.bounds,
+		table:  rec.table,
+		srcAt:  make([]int32, len(rec.bounds)),
+	}
+	var nsrc int
+	for i := range rec.ops {
+		if rec.ops[i].kind == optApply {
+			nsrc += int(rec.ops[i].nsrc)
+		}
+	}
+	rp.srcs = make([]Line, 0, nsrc)
+	for b := 0; b+1 < len(rec.bounds); b++ {
+		rp.srcAt[b] = int32(len(rp.srcs))
+		for _, op := range rec.ops[rec.bounds[b]:rec.bounds[b+1]] {
+			if op.kind == optApply && !op.drop {
+				for _, s := range op.srcs[:op.nsrc] {
+					rp.srcs = append(rp.srcs, rec.table[s])
+				}
+			}
+		}
+	}
+
+	var steps []optStep
+	for _, it := range rec.items {
+		if it.region < 0 {
+			if !it.driver.drop {
+				steps = append(steps, optStep{line: rec.table[it.driver.line], stage: it.driver.stage})
+			}
+			continue
+		}
+		lo, _ := rec.span(it.region, 0)
+		_, hi := rec.span(it.region, rec.cores-1)
+		for _, op := range rec.ops[lo:hi] {
+			if !op.drop {
+				steps = append(steps, optStep{region: rp.region(it.region)})
+				break
+			}
+		}
+	}
+
 	q := *p
 	q.Body = func(b Backend) {
-		for i := range items {
-			it := &items[i]
-			if d := it.driver; d != nil {
-				if d.drop {
-					continue
-				}
-				if d.stage {
-					b.StageShared(d.line)
-				} else {
-					b.UnstageShared(d.line)
-				}
-				continue
+		for i := range steps {
+			switch st := &steps[i]; {
+			case st.region != nil:
+				b.Parallel(st.region)
+			case st.stage:
+				b.StageShared(st.line)
+			default:
+				b.UnstageShared(st.line)
 			}
-			live := false
-			for _, ops := range it.region {
-				for oi := range ops {
-					if !ops[oi].drop {
-						live = true
-						break
-					}
-				}
-				if live {
-					break
-				}
-			}
-			if !live {
-				continue
-			}
-			b.Parallel(func(core int, ops CoreSink) {
-				if core < 0 || core >= len(it.region) {
-					return
-				}
-				for oi := range it.region[core] {
-					op := &it.region[core][oi]
-					if op.drop {
-						continue
-					}
-					switch op.kind {
-					case optStage:
-						ops.Stage(op.line)
-					case optUnstage:
-						ops.Unstage(op.line)
-					case optRead:
-						ops.Read(op.line)
-					case optWrite:
-						ops.Write(op.line)
-					case optApply:
-						ops.Apply(op.kernel, op.line, op.srcs...)
-					case optCompute:
-						ops.Compute(op.ci, op.cj, op.ck)
-					}
-				}
-			})
 		}
 	}
 	return &q
@@ -852,12 +1019,15 @@ func Optimize(p *Program, opts OptimizeOptions) (*Program, OptimizeReport, error
 		return skip(fmt.Sprintf("%d cores not divisible over %d chips", p.Cores, chips))
 	}
 
-	rec := &optRecorder{cores: p.Cores}
+	rec := newOptRecorder(p.Cores)
 	p.Body(rec)
 	if rec.bad != "" {
 		return skip(rec.bad)
 	}
-	a, reason := optAnalyze(p, rec.items)
+	if len(rec.items) > math.MaxInt32 || len(rec.ops) > math.MaxInt32 {
+		return skip("program too large to optimize")
+	}
+	a, reason := optAnalyze(p, rec)
 	if reason != "" {
 		return skip(reason)
 	}
@@ -868,14 +1038,14 @@ func Optimize(p *Program, opts OptimizeOptions) (*Program, OptimizeReport, error
 	elidedShared := make([]uint64, chips)
 	elidedCore := make([]uint64, chips)
 	if !opts.NoSharedResidency {
-		elidedShared = optSharedPass(p, rec.items, a)
+		elidedShared = optSharedPass(p, rec, a)
 	}
 	if !opts.NoCoreReuse {
-		elidedCore = optCorePass(p, rec.items, a)
+		elidedCore = optCorePass(p, rec, a)
 	}
 
-	base := optModel(p, rec.items, a, false)
-	after := optModel(p, rec.items, a, true)
+	base := optModel(p, rec, a, false)
+	after := optModel(p, rec, a, true)
 	rep.SharedPerChip = make([]OptimizeCounts, chips)
 	rep.CorePerChip = make([]OptimizeCounts, chips)
 	var totalElided uint64
@@ -916,7 +1086,7 @@ func Optimize(p *Program, opts OptimizeOptions) (*Program, OptimizeReport, error
 		return p, rep, nil
 	}
 
-	q := optRebuild(p, rec.items)
+	q := optRebuild(p, rec)
 	ws, err := Measure(q)
 	if err != nil {
 		return nil, rep, fmt.Errorf("schedule: optimized program does not measure: %w", err)
