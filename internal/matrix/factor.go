@@ -100,15 +100,17 @@ func TrsmLowerLeftUnit(diag, b *Dense) error {
 }
 
 // MulSubUnrolled computes C -= A×B — the trailing GEMM update of the
-// factorisation — as the 4×4 register-blocked twin of MulAddUnrolled
-// and the 4×4 member of the MulSub shape family (see shapes.go): each
-// 4×4 tile of C lives in sixteen scalar accumulators while the k loop
-// streams four A and four B values, so the inner loop carries no C
-// loads or stores. Every C element still subtracts its k products in
-// ascending order starting from the prior C value, so the result is
-// bitwise identical to the plain i-k-j subtract loop this kernel
-// replaced, and the flop count stays exactly 2·m·n·k regardless of the
-// data.
+// factorisation — as the twin of MulAddUnrolled and the 4×4 member of
+// the MulSub shape family (see shapes.go). Like MulAddUnrolled it runs
+// every full 4×8 block of C through the AVX kernel where the host has
+// one, the remaining columns through a 4×4 scalar micro-kernel with
+// sixteen accumulators, and the m%4 trailing rows through the scalar
+// row path, so the inner loop carries no C loads or stores. Every C
+// element still subtracts its k products in ascending order starting
+// from the prior C value, each product rounded before the subtraction
+// (multiply then subtract, never FMA), so the result is bitwise
+// identical to the plain i-k-j subtract loop this kernel replaced, and
+// the flop count stays exactly 2·m·n·k regardless of the data.
 //
 //repro:kernel
 func MulSubUnrolled(c, a, b *Dense) error {
@@ -116,6 +118,7 @@ func MulSubUnrolled(c, a, b *Dense) error {
 		return err
 	}
 	m, n, kk := a.rows, b.cols, a.cols
+	j0 := vecBlocks(c, a, b, true)
 	i := 0
 	for ; i+4 <= m; i += 4 {
 		a0 := a.data[(i+0)*a.stride : (i+0)*a.stride+kk]
@@ -126,7 +129,7 @@ func MulSubUnrolled(c, a, b *Dense) error {
 		c1 := c.data[(i+1)*c.stride : (i+1)*c.stride+n]
 		c2 := c.data[(i+2)*c.stride : (i+2)*c.stride+n]
 		c3 := c.data[(i+3)*c.stride : (i+3)*c.stride+n]
-		j := 0
+		j := j0
 		for ; j+4 <= n; j += 4 {
 			s00, s01, s02, s03 := c0[j], c0[j+1], c0[j+2], c0[j+3]
 			s10, s11, s12, s13 := c1[j], c1[j+1], c1[j+2], c1[j+3]

@@ -33,6 +33,11 @@ func MulNaive(c, a, b *Dense) error {
 // GFLOP/s number derived from it — depends only on the shapes, never on
 // the data (a sparse variant would belong in a kernel of its own).
 //
+// MulAdd and MulBlocked never take the vector path: they stay scalar Go
+// so that they remain an oracle independent of the assembly kernel
+// behind MulAddUnrolled. The j loop is unrolled by four, which keeps
+// the same per-element operation order.
+//
 //repro:kernel
 func MulAdd(c, a, b *Dense) error {
 	if err := checkMul(c, a, b); err != nil {
@@ -43,25 +48,45 @@ func MulAdd(c, a, b *Dense) error {
 		crow := c.data[i*c.stride : i*c.stride+c.cols]
 		for k, av := range arow {
 			brow := b.data[k*b.stride : k*b.stride+b.cols]
-			for j, bv := range brow {
-				crow[j] += av * bv
+			crow := crow[:len(brow)]
+			j := 0
+			for ; j+4 <= len(brow); j += 4 {
+				b4 := brow[j : j+4 : j+4]
+				c4 := crow[j : j+4 : j+4]
+				c4[0] += av * b4[0]
+				c4[1] += av * b4[1]
+				c4[2] += av * b4[2]
+				c4[3] += av * b4[3]
+			}
+			for ; j < len(brow); j++ {
+				crow[j] += av * brow[j]
 			}
 		}
 	}
 	return nil
 }
 
-// MulAddUnrolled is MulAdd restructured as a 4×4 register-blocked
-// micro-kernel: each 4×4 tile of C is held in sixteen scalar
-// accumulators while the k loop streams four A values and four B values
-// per iteration, so the inner loop carries no C loads or stores. It is
-// the executor's q×q tile kernel in every mode — over strided views in
-// ModeView and over the cached contiguous headers of arena-resident
-// tiles in the staging modes — so packed-vs-view ratios measure data
-// layout, not loop shape. Every C element still receives its k products
-// in ascending order starting from the prior C value, so the result is
-// bitwise identical to MulAdd's, and the flop count stays exactly
-// 2·m·n·k regardless of the data.
+// vecKernel selects the vector path of MulAddUnrolled and
+// MulSubUnrolled. It is on wherever the host can run the AVX kernel
+// (off in race builds, see vec_race.go); tests flip it to pin both
+// paths against the scalar reference.
+var vecKernel = vecHost
+
+// MulAddUnrolled is MulAdd restructured as a register-blocked
+// micro-kernel. On hosts with AVX (amd64, outside race builds) every
+// full 4×8 block of C runs the assembly kernel in vec_amd64.s, which
+// holds the block in eight YMM accumulators; the remaining columns use
+// a 4×4 scalar micro-kernel with sixteen accumulators, and the m%4
+// trailing rows the scalar row path. In every case the k loop streams
+// A and B values while C stays in registers. It is the executor's q×q
+// tile kernel in every mode — over strided views in ModeView and over
+// the cached contiguous headers of arena-resident tiles in the staging
+// modes — so packed-vs-view ratios measure data layout, not loop shape.
+// Every C element still receives its k products in ascending order
+// starting from the prior C value, each product rounded and then added
+// (vector multiply then vector add, never FMA, just as Go compiles the
+// scalar loops), so the result is bitwise identical to MulAdd's, and
+// the flop count stays exactly 2·m·n·k regardless of the data.
 //
 //repro:kernel
 func MulAddUnrolled(c, a, b *Dense) error {
@@ -69,6 +94,7 @@ func MulAddUnrolled(c, a, b *Dense) error {
 		return err
 	}
 	m, n, kk := a.rows, b.cols, a.cols
+	j0 := vecBlocks(c, a, b, false)
 	i := 0
 	for ; i+4 <= m; i += 4 {
 		a0 := a.data[(i+0)*a.stride : (i+0)*a.stride+kk]
@@ -79,7 +105,7 @@ func MulAddUnrolled(c, a, b *Dense) error {
 		c1 := c.data[(i+1)*c.stride : (i+1)*c.stride+n]
 		c2 := c.data[(i+2)*c.stride : (i+2)*c.stride+n]
 		c3 := c.data[(i+3)*c.stride : (i+3)*c.stride+n]
-		j := 0
+		j := j0
 		for ; j+4 <= n; j += 4 {
 			s00, s01, s02, s03 := c0[j], c0[j+1], c0[j+2], c0[j+3]
 			s10, s11, s12, s13 := c1[j], c1[j+1], c1[j+2], c1[j+3]
@@ -126,30 +152,7 @@ func MulAddUnrolled(c, a, b *Dense) error {
 			c0[j], c1[j], c2[j], c3[j] = s0, s1, s2, s3
 		}
 	}
-	for ; i < m; i++ {
-		arow := a.data[i*a.stride : i*a.stride+kk]
-		crow := c.data[i*c.stride : i*c.stride+n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			s0, s1, s2, s3 := crow[j], crow[j+1], crow[j+2], crow[j+3]
-			for k := 0; k < kk; k++ {
-				av := arow[k]
-				brow := b.data[k*b.stride+j : k*b.stride+j+4 : k*b.stride+j+4]
-				s0 += av * brow[0]
-				s1 += av * brow[1]
-				s2 += av * brow[2]
-				s3 += av * brow[3]
-			}
-			crow[j], crow[j+1], crow[j+2], crow[j+3] = s0, s1, s2, s3
-		}
-		for ; j < n; j++ {
-			s := crow[j]
-			for k := 0; k < kk; k++ {
-				s += arow[k] * b.data[k*b.stride+j]
-			}
-			crow[j] = s
-		}
-	}
+	mulAddRowsFrom(c, a, b, i)
 	return nil
 }
 

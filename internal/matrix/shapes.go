@@ -20,6 +20,14 @@ import "fmt"
 // order. Changing shape can therefore never change a result — not the
 // sequential/parallel bitwise equality, not the sim↔exec stream
 // equivalence — only the time it takes to produce it.
+//
+// The 4x4 shape's MulAdd/MulSub (MulAddUnrolled, MulSubUnrolled) run
+// every full 4×8 block of C through an AVX kernel on hosts that have
+// one, and scalar code elsewhere and on the edges. The bitwise argument
+// carries over because the vector kernel multiplies and then adds (or
+// subtracts) as two rounded operations, never FMA, which is exactly
+// what Go emits for the scalar s += a*b on amd64. The 8x4 and 8x8
+// shapes stay scalar throughout.
 
 // Shape names one register-blocking accumulator tiling of the kernel
 // family. The zero value is the 4×4 shape, the repo's historical
@@ -29,7 +37,8 @@ type Shape uint8
 
 const (
 	// Shape4x4 holds a 4×4 C tile in 16 scalar accumulators (the
-	// historical MulAddUnrolled shape).
+	// historical MulAddUnrolled shape); its MulAdd/MulSub run full 4×8
+	// blocks through the AVX kernel where the host has one.
 	Shape4x4 Shape = iota
 	// Shape8x4 holds an 8×4 C tile in 32 scalar accumulators.
 	Shape8x4

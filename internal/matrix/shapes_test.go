@@ -213,14 +213,20 @@ func TestShapeParseRoundTrip(t *testing.T) {
 }
 
 // FuzzKernelShapesVsReference drives every shape against the reference
-// MulAdd/MulSub on fuzzer-chosen dimensions and seeds: any deviation —
-// even one ulp — fails.
+// MulAdd/MulSub on fuzzer-chosen dimensions and seeds, with the vector
+// path on and off: any deviation — even one ulp — fails.
 func FuzzKernelShapesVsReference(f *testing.F) {
 	f.Add(uint(16), uint(16), uint(16), uint64(1))
 	f.Add(uint(13), uint(7), uint(11), uint64(2))
 	f.Add(uint(9), uint(5), uint(3), uint64(3))
 	f.Add(uint(8), uint(12), uint(4), uint64(4))
 	f.Add(uint(1), uint(17), uint(2), uint64(5))
+	// Vector-path seeds: whole 4×8 blocks, blocks with column and row
+	// tails, and a single k step.
+	f.Add(uint(31), uint(31), uint(31), uint64(6))
+	f.Add(uint(3), uint(7), uint(8), uint64(7))
+	f.Add(uint(6), uint(22), uint(32), uint64(8))
+	f.Add(uint(11), uint(19), uint(0), uint64(9))
 	f.Fuzz(func(t *testing.T, um, un, uk uint, seed uint64) {
 		m, n, k := int(um%33)+1, int(un%33)+1, int(uk%33)+1
 		a := Random(m, k, seed)
@@ -234,21 +240,24 @@ func FuzzKernelShapesVsReference(f *testing.F) {
 		if err := mulSubRef(subRef, a, b); err != nil {
 			t.Fatal(err)
 		}
-		for _, shape := range Shapes() {
-			kc := KernelConfig{Shape: shape}
-			got := base.Clone()
-			if err := kc.MulAdd(got, a, b); err != nil {
-				t.Fatal(err)
-			}
-			if d := got.MaxAbsDiff(addRef); d != 0 {
-				t.Fatalf("shape %v MulAdd %dx%dx%d deviates by %g", shape, m, n, k, d)
-			}
-			got = base.Clone()
-			if err := kc.MulSub(got, a, b); err != nil {
-				t.Fatal(err)
-			}
-			if d := got.MaxAbsDiff(subRef); d != 0 {
-				t.Fatalf("shape %v MulSub %dx%dx%d deviates by %g", shape, m, n, k, d)
+		for _, on := range vecStates() {
+			setVec(t, on)
+			for _, shape := range Shapes() {
+				kc := KernelConfig{Shape: shape}
+				got := base.Clone()
+				if err := kc.MulAdd(got, a, b); err != nil {
+					t.Fatal(err)
+				}
+				if d := got.MaxAbsDiff(addRef); d != 0 {
+					t.Fatalf("shape %v vec=%v MulAdd %dx%dx%d deviates by %g", shape, on, m, n, k, d)
+				}
+				got = base.Clone()
+				if err := kc.MulSub(got, a, b); err != nil {
+					t.Fatal(err)
+				}
+				if d := got.MaxAbsDiff(subRef); d != 0 {
+					t.Fatalf("shape %v vec=%v MulSub %dx%dx%d deviates by %g", shape, on, m, n, k, d)
+				}
 			}
 		}
 	})
