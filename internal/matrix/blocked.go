@@ -84,11 +84,14 @@ func (b *Blocked) Block(bi, bj int) *Dense {
 	if bi < 0 || bi >= b.brows || bj < 0 || bj >= b.bcols {
 		panic(fmt.Sprintf("matrix: block (%d,%d) out of range %dx%d", bi, bj, b.brows, b.bcols))
 	}
-	i := bi * b.Q
-	j := bj * b.Q
-	r := min(b.Q, b.dense.Rows()-i)
-	c := min(b.Q, b.dense.Cols()-j)
-	return b.dense.View(i, j, r, c)
+	r, c := b.tileShape(bi, bj)
+	return b.dense.View(bi*b.Q, bj*b.Q, r, c)
+}
+
+// tileShape returns the dimensions of tile (bi, bj): q×q, or smaller on
+// a ragged edge.
+func (b *Blocked) tileShape(bi, bj int) (rows, cols int) {
+	return min(b.Q, b.dense.rows-bi*b.Q), min(b.Q, b.dense.cols-bj*b.Q)
 }
 
 // Coord returns the BlockCoord of tile (bi, bj) of this matrix.

@@ -4,19 +4,23 @@ import (
 	"fmt"
 
 	"repro/internal/matrix"
-	"repro/internal/schedule"
 )
 
 // Arena is one core's staging buffer: the physical realisation of the
 // paper's distributed cache. It holds up to capBlocks packed q×q tiles
-// in one contiguous allocation, indexed by block coordinate. Stage
-// copies a tile of the operand matrices into a free slot (the paper's
-// "load into the distributed cache of core c"), computes run on the
-// packed copies, and Unstage writes dirty C tiles back and frees the
-// slot. The discipline is exactly as strict as the IDEAL cache's:
-// staging a resident line, overflowing the capacity, or unstaging a
-// non-resident line is an error — the executor's memory traffic is
-// literally the stream the simulator counts.
+// in one contiguous allocation. Stage copies a tile of the operand
+// matrices into a free slot (the paper's "load into the distributed
+// cache of core c"), computes run on the packed copies, and Unstage
+// writes dirty tiles back and frees the slot. The discipline is exactly
+// as strict as the IDEAL cache's: staging a resident tile, overflowing
+// the capacity, or unstaging a non-resident tile is an error — the
+// executor's memory traffic is literally the stream the simulator
+// counts.
+//
+// Tiles are addressed by their dense id in the operand binding
+// (matrix.TileID). The residency index is a slot table with one entry
+// per operand tile, so every lookup on the replay path is an array
+// load: 4 bytes per operand tile, at most 1/(2q²) of the operand bytes.
 //
 // An Arena is owned by a single worker goroutine; it needs no locking.
 // The same slot machinery backs the team-wide SharedArena, whose
@@ -24,10 +28,12 @@ import (
 type Arena struct {
 	level    string // "core arena" or "shared arena", for error messages
 	blockLen int    // q·q values per slot
+	tiles    *matrix.Operands
 	buf      []float64
 	slots    []arenaSlot
-	index    map[schedule.Line]int
-	free     []int
+	index    []int32 // tile id → slot index + 1; 0 when not resident
+	free     []int32
+	resident int
 
 	// verify arms the integrity tripwire (Executor.SetIntegrityChecks):
 	// staging records a checksum of the packed copy, release re-verifies
@@ -39,20 +45,26 @@ type Arena struct {
 }
 
 type arenaSlot struct {
-	line       schedule.Line
+	id         matrix.TileID
 	rows, cols int
+	held       bool // resident: index[id] points here
 	dirty      bool
 	sum        uint64        // checksum of data at last stage/absorb (verify mode)
 	data       []float64     // slice of buf, len rows·cols while resident
-	hdr        *matrix.Dense // compact header over data, refreshed on alloc
+	hdr        *matrix.Dense // compact header over data, rebuilt only when the shape changes
 }
 
-// NewArena allocates a staging buffer of capBlocks tiles of q×q values.
-func NewArena(capBlocks, q int) (*Arena, error) {
-	return newArena(capBlocks, q, "core arena")
+// NewArena allocates a staging buffer of capBlocks tiles for the
+// operand binding tiles (q×q values each, q the binding's tile size).
+func NewArena(capBlocks int, tiles *matrix.Operands) (*Arena, error) {
+	return newArena(capBlocks, tiles, "core arena")
 }
 
-func newArena(capBlocks, q int, level string) (*Arena, error) {
+func newArena(capBlocks int, tiles *matrix.Operands, level string) (*Arena, error) {
+	if tiles == nil {
+		return nil, fmt.Errorf("parallel: %s needs an operand binding", level)
+	}
+	q := tiles.Q()
 	if capBlocks <= 0 || q <= 0 {
 		return nil, fmt.Errorf("parallel: %s needs positive capacity and block edge, got %d blocks of %dx%d",
 			level, capBlocks, q, q)
@@ -60,13 +72,14 @@ func newArena(capBlocks, q int, level string) (*Arena, error) {
 	a := &Arena{
 		level:    level,
 		blockLen: q * q,
+		tiles:    tiles,
 		buf:      make([]float64, capBlocks*q*q),
 		slots:    make([]arenaSlot, capBlocks),
-		index:    make(map[schedule.Line]int, capBlocks),
-		free:     make([]int, 0, capBlocks),
+		index:    make([]int32, tiles.Tiles()),
+		free:     make([]int32, 0, capBlocks),
 	}
 	for i := capBlocks - 1; i >= 0; i-- {
-		a.free = append(a.free, i)
+		a.free = append(a.free, int32(i))
 	}
 	return a, nil
 }
@@ -75,63 +88,98 @@ func newArena(capBlocks, q int, level string) (*Arena, error) {
 func (a *Arena) Capacity() int { return len(a.slots) }
 
 // Resident returns the number of currently staged tiles.
-func (a *Arena) Resident() int { return len(a.index) }
+func (a *Arena) Resident() int { return a.resident }
 
-// alloc claims a free slot for a rows×cols tile under line l, enforcing
-// the staging discipline (no re-stage of a resident line, no overflow,
-// no oversized tile). The caller fills the returned slot's data.
-func (a *Arena) alloc(l schedule.Line, rows, cols int) (*arenaSlot, error) {
-	if _, ok := a.index[l]; ok {
-		return nil, fmt.Errorf("parallel: %s stage of resident block %v", a.level, l)
+// inRange reports whether id numbers a tile of the arena's binding.
+func (a *Arena) inRange(id matrix.TileID) bool { return uint32(id) < uint32(len(a.index)) }
+
+// outOfRange is the error of an id outside the binding.
+func (a *Arena) outOfRange(id matrix.TileID) error {
+	return fmt.Errorf("parallel: %s: tile id %d outside the binding's %d tiles", a.level, id, len(a.index))
+}
+
+// alloc claims a free slot for a rows×cols tile under id, enforcing the
+// staging discipline (no re-stage of a resident tile, no overflow, no
+// oversized tile). The caller fills the returned slot's data.
+func (a *Arena) alloc(id matrix.TileID, rows, cols int) (*arenaSlot, error) {
+	if !a.inRange(id) {
+		return nil, a.outOfRange(id)
+	}
+	if a.index[id] != 0 {
+		return nil, fmt.Errorf("parallel: %s stage of resident block %v", a.level, a.tiles.Coord(id))
 	}
 	if len(a.free) == 0 {
-		return nil, fmt.Errorf("parallel: %s full (capacity %d blocks) staging %v", a.level, len(a.slots), l)
+		return nil, fmt.Errorf("parallel: %s full (capacity %d blocks) staging %v", a.level, len(a.slots), a.tiles.Coord(id))
 	}
 	if rows*cols > a.blockLen {
 		return nil, fmt.Errorf("parallel: %dx%d tile %v exceeds the %s's %d-value slots",
-			rows, cols, l, a.level, a.blockLen)
+			rows, cols, a.tiles.Coord(id), a.level, a.blockLen)
 	}
 	i := a.free[len(a.free)-1]
 	slot := &a.slots[i]
-	slot.data = a.buf[i*a.blockLen : i*a.blockLen+rows*cols]
-	slot.line = l
+	off := int(i) * a.blockLen
+	slot.data = a.buf[off : off+rows*cols]
+	slot.id = id
 	slot.rows = rows
 	slot.cols = cols
+	slot.held = true
 	slot.dirty = false
-	// One header per staging transfer, so the kernels in the replay hot
-	// path run on arena-resident tiles without per-application wrapping.
-	hdr, err := matrix.NewFromSlice(rows, cols, slot.data)
-	if err != nil {
-		return nil, err
+	// The header lets the kernels run on arena-resident tiles without
+	// per-application wrapping. Same shape, same backing: it is reused
+	// until a ragged edge tile lands in the slot.
+	if slot.hdr == nil || slot.hdr.Rows() != rows || slot.hdr.Cols() != cols {
+		hdr, err := matrix.NewFromSlice(rows, cols, slot.data)
+		if err != nil {
+			return nil, err
+		}
+		slot.hdr = hdr
 	}
-	slot.hdr = hdr
 	a.free = a.free[:len(a.free)-1]
-	a.index[l] = i
+	a.index[id] = i + 1
+	a.resident++
 	return slot, nil
 }
 
-// Stage packs the src tile into a free slot under line l. Mirroring the
-// IDEAL cache, staging a resident line or staging into a full arena is
-// an error (it indicates a bug in the schedule's staging discipline).
-func (a *Arena) Stage(l schedule.Line, src *matrix.Dense) error {
-	slot, err := a.alloc(l, src.Rows(), src.Cols())
+// Stage packs operand tile id into a free slot. Mirroring the IDEAL
+// cache, staging a resident tile or staging into a full arena is an
+// error (it indicates a bug in the schedule's staging discipline). The
+// tile's value count is returned for traffic accounting.
+func (a *Arena) Stage(id matrix.TileID) (values int, err error) {
+	slot, err := a.allocTile(id)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if _, err := matrix.Pack(slot.data, src); err != nil {
-		return err
+	return a.fill(slot)
+}
+
+// allocTile claims a slot for operand tile id at its shape in the
+// binding.
+func (a *Arena) allocTile(id matrix.TileID) (*arenaSlot, error) {
+	if !a.inRange(id) {
+		return nil, a.outOfRange(id)
+	}
+	rows, cols := a.tiles.TileShape(id)
+	return a.alloc(id, rows, cols)
+}
+
+// fill packs the operand tile of a freshly allocated slot, records its
+// checksum under the verify policy and returns its value count.
+func (a *Arena) fill(slot *arenaSlot) (int, error) {
+	values, err := a.tiles.PackTile(slot.data, slot.id)
+	if err != nil {
+		return 0, err
 	}
 	if a.verify {
 		slot.sum = checksum(slot.data)
 	}
-	return nil
+	return values, nil
 }
 
-// stagePacked stages an already-packed rows×cols image under line l —
-// the intra-chip copy a core arena makes when refilling from the shared
+// stagePacked stages an already-packed rows×cols image under id — the
+// intra-chip copy a core arena makes when refilling from the shared
 // arena. Discipline is identical to Stage's.
-func (a *Arena) stagePacked(l schedule.Line, rows, cols int, src []float64) error {
-	slot, err := a.alloc(l, rows, cols)
+func (a *Arena) stagePacked(id matrix.TileID, rows, cols int, src []float64) error {
+	slot, err := a.alloc(id, rows, cols)
 	if err != nil {
 		return err
 	}
@@ -142,56 +190,73 @@ func (a *Arena) stagePacked(l schedule.Line, rows, cols int, src []float64) erro
 	return nil
 }
 
-// release frees the slot holding l and hands its packed contents to the
-// caller, which decides where a dirty tile merges (operand matrices in
-// ModePacked, the shared arena in ModeShared). The returned data slice
-// stays valid until the slot is staged again. Releasing a non-resident
-// line is an error, exactly as evicting one is under IDEAL.
-func (a *Arena) release(l schedule.Line) (rows, cols int, data []float64, dirty bool, err error) {
-	i, ok := a.index[l]
-	if !ok {
-		return 0, 0, nil, false, fmt.Errorf("parallel: %s unstage of non-resident block %v", a.level, l)
+// release frees the slot holding id and hands its packed contents to
+// the caller, which decides where a dirty tile merges (operand matrices
+// in ModePacked, the shared arena in ModeShared). The returned data
+// slice stays valid until the slot is staged again. Releasing a
+// non-resident tile is an error, exactly as evicting one is under IDEAL.
+func (a *Arena) release(id matrix.TileID) (rows, cols int, data []float64, dirty bool, err error) {
+	slot := a.tile(id)
+	if slot == nil {
+		if !a.inRange(id) {
+			return 0, 0, nil, false, a.outOfRange(id)
+		}
+		return 0, 0, nil, false, fmt.Errorf("parallel: %s unstage of non-resident block %v", a.level, a.tiles.Coord(id))
 	}
-	slot := &a.slots[i]
-	if err := a.check(slot, l); err != nil {
+	if err := a.check(slot); err != nil {
 		return 0, 0, nil, false, err
 	}
-	delete(a.index, l)
-	a.free = append(a.free, i)
+	a.evict(slot)
 	return slot.rows, slot.cols, slot.data, slot.dirty, nil
+}
+
+// evict returns a resident slot to the free list.
+func (a *Arena) evict(slot *arenaSlot) {
+	i := a.index[slot.id]
+	a.index[slot.id] = 0
+	slot.held = false
+	a.free = append(a.free, i-1)
+	a.resident--
 }
 
 // check re-verifies a resident slot's checksum under the verify policy
 // (see the Arena verify fields). A mismatch means the packed copy was
 // modified outside any legitimate write — injected corruption, a stray
 // store — and fails with ErrIntegrity.
-func (a *Arena) check(slot *arenaSlot, l schedule.Line) error {
+func (a *Arena) check(slot *arenaSlot) error {
 	if !a.verify || (slot.dirty && !a.verifyDirty) {
 		return nil
 	}
 	if checksum(slot.data) != slot.sum {
-		return fmt.Errorf("%w: %s copy of %v changed while resident", ErrIntegrity, a.level, l)
+		return fmt.Errorf("%w: %s copy of %v changed while resident", ErrIntegrity, a.level, a.tiles.Coord(slot.id))
 	}
 	return nil
 }
 
-// Unstage frees the slot holding l, writing the packed tile back into
-// dst first if it is dirty.
-func (a *Arena) Unstage(l schedule.Line, dst *matrix.Dense) error {
-	_, _, data, dirty, err := a.release(l)
+// Unstage frees the slot holding id, writing the packed tile back into
+// its operand matrix first if it is dirty. It reports the tile's value
+// count and whether a write-back happened.
+func (a *Arena) Unstage(id matrix.TileID) (values int, dirty bool, err error) {
+	_, _, data, dirty, err := a.release(id)
 	if err != nil {
-		return err
+		return 0, false, err
 	}
 	if dirty {
-		return matrix.Unpack(dst, data)
+		if err := a.tiles.UnpackTile(id, data); err != nil {
+			return 0, false, err
+		}
 	}
-	return nil
+	return len(data), dirty, nil
 }
 
-// tile returns the slot holding l, or nil if l is not staged.
-func (a *Arena) tile(l schedule.Line) *arenaSlot {
-	if i, ok := a.index[l]; ok {
-		return &a.slots[i]
+// tile returns the slot holding id, or nil if id is not staged (or not
+// a tile of the binding at all).
+func (a *Arena) tile(id matrix.TileID) *arenaSlot {
+	if !a.inRange(id) {
+		return nil
+	}
+	if i := a.index[id]; i != 0 {
+		return &a.slots[i-1]
 	}
 	return nil
 }
@@ -203,19 +268,22 @@ func (a *Arena) tile(l schedule.Line) *arenaSlot {
 // non-empty drain usually indicates a sloppy schedule rather than an
 // error. Where a dirty tile merges depends on the level: core arenas
 // merge upward into the shared arena (ModeShared) or the operand
-// matrices (ModePacked), the shared arena into the matrices.
-func (a *Arena) Drain(merge func(l schedule.Line, rows, cols int, data []float64) error) (int, error) {
+// matrices (ModePacked), the shared arena into the matrices. Tiles
+// merge in slot order.
+func (a *Arena) Drain(merge func(id matrix.TileID, rows, cols int, data []float64) error) (int, error) {
 	var merged int
-	for l, i := range a.index {
+	for i := range a.slots {
 		slot := &a.slots[i]
+		if !slot.held {
+			continue
+		}
 		if slot.dirty {
-			if err := merge(l, slot.rows, slot.cols, slot.data); err != nil {
+			if err := merge(slot.id, slot.rows, slot.cols, slot.data); err != nil {
 				return merged, err
 			}
 			merged++
 		}
-		delete(a.index, l)
-		a.free = append(a.free, i)
+		a.evict(slot)
 	}
 	return merged, nil
 }
@@ -227,9 +295,10 @@ func (a *Arena) Drain(merge func(l schedule.Line, rows, cols int, data []float64
 // may sit in a slot), so nothing is written back and nothing survives
 // into the next run.
 func (a *Arena) Discard() {
-	for l, i := range a.index {
-		delete(a.index, l)
-		a.free = append(a.free, i)
+	for i := range a.slots {
+		if slot := &a.slots[i]; slot.held {
+			a.evict(slot)
+		}
 	}
 	for i := range a.buf {
 		a.buf[i] = 0

@@ -159,7 +159,22 @@ type Executor struct {
 	shared       []*SharedArena // one per chip; shared-level modes only, allocated with the arenas
 	staging      bool           // current program stages (set per Run)
 	ops          [][]execOp
+	sinks        []execSink // one recording sink per core, reused by every region
 	err          error
+
+	// foreign holds the lines a recording met outside the operand
+	// binding; op -1-k names foreign[k] (see tileID). The list only
+	// grows on the recording goroutine, before the region that could
+	// report the line runs.
+	foreign []schedule.Line
+
+	// The region the Team is replaying: replayFn is replayRegion bound
+	// once, so launching a region allocates nothing. finished[c] is
+	// core c's finish stamp (ordered against the driver by the join).
+	replayFn  func(core int) error
+	curRegion int
+	curOps    [][]execOp
+	finished  []time.Time
 
 	// Replay provenance: ctx is the active RunContext's context (nil
 	// outside a run); algorithm the running program's name; region counts
@@ -183,7 +198,7 @@ type Executor struct {
 	// homed on chip 0, when undeclared).
 	chips  int
 	chipOf []int                   // core → chip (blocked partition)
-	homeOf func(schedule.Line) int // line → home chip; nil ⇒ chip 0
+	homeOf func(schedule.Line) int // line → home chip; nil on a single chip
 
 	ms  LevelTraffic     // memory↔shared stream, stager/driving goroutine only
 	md  []LevelTraffic   // shared↔core (or memory↔core) stream, one per worker
@@ -237,14 +252,17 @@ type Executor struct {
 var _ schedule.Backend = (*Executor)(nil)
 
 // execOp is one recorded per-core operation: a staging transfer or a
-// typed kernel application. line is the staging target or the kernel's
-// destination; srcs carries the kernel's read operands (kernel.Arity()
-// of them — at most two across the whole op set).
+// typed kernel application, 16 bytes. line is the staging target or the
+// kernel's destination; srcs carries the kernel's read operands
+// (kernel.Arity() of them — at most two across the whole op set). All
+// three are dense tile ids of the operand binding, resolved once at
+// recording (see Executor.tileID); the coordinate is decoded back only
+// for errors, fault points and the strided ModeView path.
 type execOp struct {
 	kind   execOpKind
 	kernel schedule.Kernel
-	line   schedule.Line
-	srcs   [2]schedule.Line
+	line   matrix.TileID
+	srcs   [2]matrix.TileID
 }
 
 type execOpKind uint8
@@ -288,8 +306,14 @@ func NewExecutorOperands(team *Team, operands *matrix.Operands, probe *schedule.
 		arenaBlocks:  coreBlocks,
 		sharedBlocks: sharedBlocks,
 		ops:          make([][]execOp, team.Size()),
+		sinks:        make([]execSink, team.Size()),
+		finished:     make([]time.Time, team.Size()),
 		md:           make([]LevelTraffic, team.Size()),
 	}
+	for c := range ex.sinks {
+		ex.sinks[c] = execSink{ex: ex, core: c}
+	}
+	ex.replayFn = ex.replayRegion
 	switch mode {
 	case ModePacked, ModeShared, ModeSharedPipelined:
 		if coreBlocks <= 0 {
@@ -454,12 +478,46 @@ func (ex *Executor) StageShared(l schedule.Line) {
 	ex.stageWait += time.Since(start)
 }
 
-// home resolves the home chip of l under the current Run's placement.
-func (ex *Executor) home(l schedule.Line) int {
+// home resolves the home chip of tile id under the current Run's
+// placement. Single-chip runs never decode the id.
+func (ex *Executor) home(id matrix.TileID) int {
 	if ex.homeOf == nil {
 		return 0
 	}
-	return ex.homeOf(l)
+	return ex.homeOf(ex.line(id))
+}
+
+// tileID resolves l to its dense id in the operand binding, at
+// recording time. A line outside the binding gets a negative id naming
+// it in ex.foreign, so the op that touches it still fails at replay —
+// the same op the coordinate-keyed index failed at — with that line in
+// its error.
+func (ex *Executor) tileID(l schedule.Line) matrix.TileID {
+	if id, err := ex.operands.TileID(l); err == nil {
+		return id
+	}
+	for k, f := range ex.foreign {
+		if f == l {
+			return matrix.TileID(-1 - k)
+		}
+	}
+	ex.foreign = append(ex.foreign, l)
+	return matrix.TileID(-len(ex.foreign))
+}
+
+// line decodes a recorded id back to its coordinate.
+func (ex *Executor) line(id matrix.TileID) schedule.Line {
+	if id < 0 {
+		return ex.foreign[-1-id]
+	}
+	return ex.operands.Coord(id)
+}
+
+// foreignErr is the replay error of an op on a line outside the binding
+// (a negative id): the binding's own range or unbound-operand error.
+func (ex *Executor) foreignErr(id matrix.TileID) error {
+	_, err := ex.operands.TileID(ex.line(id))
+	return err
 }
 
 // stageShared performs the physical memory→shared transfer of l into
@@ -488,17 +546,17 @@ func (ex *Executor) stageShared(l schedule.Line) (err error) {
 	if err != nil {
 		return ex.driverError(ref, faultinject.StageShared, l, err)
 	}
-	src, err := ex.block(l)
+	id, err := ex.operands.TileID(l)
 	if err != nil {
 		return ex.driverError(ref, faultinject.StageShared, l, err)
 	}
-	home := ex.home(l)
-	values, err := ex.shared[home].Stage(l, src)
+	home := ex.home(id)
+	values, err := ex.shared[home].Stage(id)
 	if err != nil {
 		return ex.driverError(ref, faultinject.StageShared, l, err)
 	}
 	if act.Kind == faultinject.ActCorrupt {
-		ex.shared[home].corrupt(l, act.Bit)
+		ex.shared[home].corrupt(id, act.Bit)
 	}
 	ex.ms.stage(values)
 	return nil
@@ -514,8 +572,9 @@ func (ex *Executor) UnstageShared(l schedule.Line) {
 		return
 	}
 	start := time.Now()
+	id, err := ex.operands.TileID(l)
 	for c, ar := range ex.arenas {
-		if ar.tile(l) != nil {
+		if err == nil && ar.tile(id) != nil {
 			ref := schedule.OpRef{Region: ex.region, Core: schedule.DriverCore, Index: ex.drvIdx}
 			ex.fail(ex.driverError(ref, faultinject.UnstageShared, l,
 				fmt.Errorf("parallel: unstaging %v from the shared arena while core %d still holds it", l, c)))
@@ -554,11 +613,11 @@ func (ex *Executor) unstageShared(l schedule.Line) (err error) {
 	if _, err := ex.injectAt(faultinject.Point{Op: ref, Kind: faultinject.UnstageShared, Line: l}); err != nil {
 		return ex.driverError(ref, faultinject.UnstageShared, l, err)
 	}
-	dst, err := ex.block(l)
+	id, err := ex.operands.TileID(l)
 	if err != nil {
 		return ex.driverError(ref, faultinject.UnstageShared, l, err)
 	}
-	values, dirty, err := ex.shared[ex.home(l)].Unstage(l, dst)
+	values, dirty, err := ex.shared[ex.home(id)].Unstage(id)
 	if err != nil {
 		return ex.driverError(ref, faultinject.UnstageShared, l, err)
 	}
@@ -569,17 +628,18 @@ func (ex *Executor) unstageShared(l schedule.Line) (err error) {
 }
 
 // execSink records one core's stream of a parallel region into *out,
-// feeding the probe every access on the way. Kernel applications are
-// always recorded; staging transfers only in the modes that move data
-// (ModeView replays computes on strided views, staying probe-only for
-// staging, exactly as before packed storage existed).
+// feeding the probe every access on the way and resolving every line to
+// its tile id. Kernel applications are always recorded; staging
+// transfers only in the modes that move data (ModeView replays
+// computes on strided views, staying probe-only for staging, exactly as
+// before packed storage existed).
 type execSink struct {
 	ex   *Executor
 	core int
 	out  *[]execOp
 }
 
-func (s execSink) access(l schedule.Line, write bool) {
+func (s *execSink) access(l schedule.Line, write bool) {
 	if p := s.ex.probe; p != nil && p.CoreAccess != nil {
 		p.CoreAccess(s.core, l, write)
 	}
@@ -587,50 +647,54 @@ func (s execSink) access(l schedule.Line, write bool) {
 
 // Stage queues the block transfer into this core's arena (staging
 // modes) and feeds the probe the access, exactly as the simulator does.
-func (s execSink) Stage(l schedule.Line) {
+func (s *execSink) Stage(l schedule.Line) {
 	s.access(l, false)
 	if s.ex.mode != ModeView {
-		*s.out = append(*s.out, execOp{kind: xStage, line: l})
+		*s.out = append(*s.out, execOp{kind: xStage, line: s.ex.tileID(l)})
 	}
 }
 
 // Unstage queues the write-back/release of l. It is invisible to
 // probes, exactly as in the simulator.
-func (s execSink) Unstage(l schedule.Line) {
+func (s *execSink) Unstage(l schedule.Line) {
 	if s.ex.mode != ModeView {
-		*s.out = append(*s.out, execOp{kind: xUnstage, line: l})
+		*s.out = append(*s.out, execOp{kind: xUnstage, line: s.ex.tileID(l)})
 	}
 }
 
 // Read records a raw access; it carries no arithmetic.
-func (s execSink) Read(l schedule.Line) { s.access(l, false) }
+func (s *execSink) Read(l schedule.Line) { s.access(l, false) }
 
 // Write records a raw access; it carries no arithmetic.
-func (s execSink) Write(l schedule.Line) { s.access(l, true) }
+func (s *execSink) Write(l schedule.Line) { s.access(l, true) }
 
 // Apply queues the kernel application for this core and feeds the probe
 // the accesses the kernel declares — each source read in order, then the
 // destination written — exactly the expansion the simulator records.
-func (s execSink) Apply(k schedule.Kernel, dest schedule.Line, srcs ...schedule.Line) {
+func (s *execSink) Apply(k schedule.Kernel, dest schedule.Line, srcs ...schedule.Line) {
 	k.Accesses(dest, srcs,
 		func(l schedule.Line) { s.access(l, false) },
 		func(l schedule.Line) { s.access(l, true) })
-	op := execOp{kind: xApply, kernel: k, line: dest}
-	copy(op.srcs[:], srcs)
+	op := execOp{kind: xApply, kernel: k, line: s.ex.tileID(dest)}
+	for i, l := range srcs {
+		op.srcs[i] = s.ex.tileID(l)
+	}
 	*s.out = append(*s.out, op)
 }
 
 // Compute queues the block FMA C[i,j] += A[i,k]·B[k,j] as its MulAdd
 // expansion, preserving the schedule's read-read-write probe order.
-func (s execSink) Compute(i, j, k int) {
+func (s *execSink) Compute(i, j, k int) {
 	s.Apply(schedule.MulAdd, schedule.LineC(i, j), schedule.LineA(i, k), schedule.LineB(k, j))
 }
 
-// sinkFor builds the recording sink for core c, targeting out — the
-// per-region scratch in the serial path, a pipeline recorder's region
-// storage in ModeSharedPipelined.
-func (ex *Executor) sinkFor(c int, out *[]execOp) execSink {
-	return execSink{ex: ex, core: c, out: out}
+// sinkFor points core c's recording sink at out — the per-region
+// scratch in the serial path, a pipeline recorder's region storage in
+// ModeSharedPipelined — and returns it.
+func (ex *Executor) sinkFor(c int, out *[]execOp) *execSink {
+	s := &ex.sinks[c]
+	s.out = out
+	return s
 }
 
 // Parallel records the per-core streams of one region, then runs them
@@ -660,10 +724,24 @@ func (ex *Executor) Parallel(body func(core int, ops schedule.CoreSink)) {
 		return
 	}
 	ex.region++
-	region := ex.region
 	start := time.Now()
-	ex.fail(ex.team.Run(func(c int) error { return ex.replayOps(c, region, ex.ops[c]) }))
+	ex.fail(ex.launch(ex.region, ex.ops)())
 	ex.computeTime += time.Since(start)
+}
+
+// launch hands region's recorded core streams to the Team and returns
+// the join.
+func (ex *Executor) launch(region int, ops [][]execOp) (wait func() error) {
+	ex.curRegion, ex.curOps = region, ops
+	return ex.team.Launch(ex.replayFn)
+}
+
+// replayRegion is core c's body of the launched region: it replays the
+// core's stream and stamps its finish time.
+func (ex *Executor) replayRegion(c int) error {
+	err := ex.replayOps(c, ex.curRegion, ex.curOps[c])
+	ex.finished[c] = time.Now()
+	return err
 }
 
 // siteOf maps a recorded op to its injection-point kind.
@@ -696,7 +774,6 @@ func (ex *Executor) replayOps(c, region int, ops []execOp) (err error) {
 	md := &ex.md[c]
 	idx := ex.opIdx[c]
 	var cur execOp
-	var site faultinject.OpKind
 	active := false
 	defer func() {
 		ex.opIdx[c] = idx
@@ -709,20 +786,24 @@ func (ex *Executor) replayOps(c, region int, ops []execOp) (err error) {
 				Stack:      debug.Stack(),
 			}
 			if active {
-				re.Site, re.Kernel, re.Line, re.HasOp = site, cur.kernel, cur.line, true
+				re.Site, re.Kernel, re.Line, re.HasOp = siteOf(cur), cur.kernel, ex.line(cur.line), true
 			}
 			err = re
 		}
 	}()
 	for _, op := range ops {
-		cur, site, active = op, siteOf(op), true
-		ref := schedule.OpRef{Region: region, Core: c, Index: idx}
-		act, ierr := ex.injectAt(faultinject.Point{Op: ref, Kind: site, Kernel: op.kernel, Line: op.line})
-		if ierr != nil {
-			return ex.opError(ref, site, op, ierr)
+		cur, active = op, true
+		var act faultinject.Action
+		if ex.inject != nil {
+			var ierr error
+			ref := schedule.OpRef{Region: region, Core: c, Index: idx}
+			act, ierr = ex.injectAt(faultinject.Point{Op: ref, Kind: siteOf(op), Kernel: op.kernel, Line: ex.line(op.line)})
+			if ierr != nil {
+				return ex.opError(ref, op, ierr)
+			}
 		}
 		if oerr := ex.replayOne(c, ar, md, op, act); oerr != nil {
-			return ex.opError(ref, site, op, oerr)
+			return ex.opError(schedule.OpRef{Region: region, Core: c, Index: idx}, op, oerr)
 		}
 		idx++
 	}
@@ -739,7 +820,10 @@ func (ex *Executor) replayOne(c int, ar *Arena, md *LevelTraffic, op execOp, act
 		if ar == nil {
 			// Staging ops reach replay only through Run, which
 			// allocates arenas for every program that stages.
-			return fmt.Errorf("parallel: staging op %v outside a validated Run", op.line)
+			return fmt.Errorf("parallel: staging op %v outside a validated Run", ex.line(op.line))
+		}
+		if op.line < 0 {
+			return ex.foreignErr(op.line)
 		}
 		if op.kind == xStage {
 			if ex.mode.SharedLevel() {
@@ -757,14 +841,11 @@ func (ex *Executor) replayOne(c int, ar *Arena, md *LevelTraffic, op execOp, act
 					ex.icw[c][home].stage(values)
 				}
 			} else {
-				src, err := ex.block(op.line)
+				values, err := ar.Stage(op.line)
 				if err != nil {
 					return err
 				}
-				if err := ar.Stage(op.line, src); err != nil {
-					return err
-				}
-				md.stage(src.Rows() * src.Cols())
+				md.stage(values)
 			}
 			if act.Kind == faultinject.ActCorrupt {
 				if slot := ar.tile(op.line); slot != nil {
@@ -773,33 +854,30 @@ func (ex *Executor) replayOne(c int, ar *Arena, md *LevelTraffic, op execOp, act
 			}
 			return nil
 		}
-		rows, cols, data, dirty, err := ar.release(op.line)
-		if err != nil {
-			return err
-		}
-		if !dirty {
-			return nil
-		}
-		if ex.mode.SharedLevel() {
-			// Dirty tiles merge upward into the home chip's shared
-			// copy, as EvictDistributed merges under IDEAL; the shared
-			// level owns the eventual write-back to memory. A foreign
-			// home sends the merge over the interconnect.
-			home := ex.home(op.line)
-			if err := ex.shared[home].Absorb(op.line, rows, cols, data); err != nil {
-				return err
-			}
-			if home != ex.chipOf[c] {
-				ex.icw[c][home].writeBack(rows * cols)
-			}
-		} else {
-			dst, err := ex.block(op.line)
+		if !ex.mode.SharedLevel() {
+			values, dirty, err := ar.Unstage(op.line)
 			if err != nil {
 				return err
 			}
-			if err := matrix.Unpack(dst, data); err != nil {
-				return err
+			if dirty {
+				md.writeBack(values)
 			}
+			return nil
+		}
+		rows, cols, data, dirty, err := ar.release(op.line)
+		if err != nil || !dirty {
+			return err
+		}
+		// Dirty tiles merge upward into the home chip's shared copy, as
+		// EvictDistributed merges under IDEAL; the shared level owns the
+		// eventual write-back to memory. A foreign home sends the merge
+		// over the interconnect.
+		home := ex.home(op.line)
+		if err := ex.shared[home].Absorb(op.line, rows, cols, data); err != nil {
+			return err
+		}
+		if home != ex.chipOf[c] {
+			ex.icw[c][home].writeBack(rows * cols)
 		}
 		md.writeBack(rows * cols)
 		return nil
@@ -817,9 +895,10 @@ func (ex *Executor) replayOne(c int, ar *Arena, md *LevelTraffic, op execOp, act
 	return nil
 }
 
-// block resolves a line to its tile view in the operand matrices.
-func (ex *Executor) block(l schedule.Line) (*matrix.Dense, error) {
-	return ex.operands.Block(l)
+// block resolves a recorded id to its strided tile view in the operand
+// matrices — the ModeView path.
+func (ex *Executor) block(id matrix.TileID) (*matrix.Dense, error) {
+	return ex.operands.Block(ex.line(id))
 }
 
 // apply dispatches one typed kernel application. With an arena present
@@ -837,14 +916,20 @@ func (ex *Executor) apply(ar *Arena, op execOp) error {
 	if ar != nil {
 		sd := ar.tile(op.line)
 		if sd == nil {
-			return fmt.Errorf("parallel: %v on non-resident destination %v", op.kernel, op.line)
+			if op.line < 0 {
+				return ex.foreignErr(op.line)
+			}
+			return fmt.Errorf("parallel: %v on non-resident destination %v", op.kernel, ex.line(op.line))
 		}
 		dest = sd.hdr
 		sd.dirty = true
 		for i := 0; i < arity; i++ {
 			ss := ar.tile(op.srcs[i])
 			if ss == nil {
-				return fmt.Errorf("parallel: %v of %v with non-resident source %v", op.kernel, op.line, op.srcs[i])
+				if op.srcs[i] < 0 {
+					return ex.foreignErr(op.srcs[i])
+				}
+				return fmt.Errorf("parallel: %v of %v with non-resident source %v", op.kernel, ex.line(op.line), ex.line(op.srcs[i]))
 			}
 			srcs[i] = ss.hdr
 		}
@@ -992,7 +1077,9 @@ func (ex *Executor) execute(prog *schedule.Program) error {
 			return fmt.Errorf("parallel: program %q declares %d chips, which cannot split %d cores evenly",
 				prog.Algorithm, ex.chips, ex.team.Size())
 		}
-		ex.homeOf = prog.HomeOf
+		if ex.chips > 1 {
+			ex.homeOf = prog.HomeOf
+		}
 		for c := range ex.chipOf {
 			ex.chipOf[c] = prog.ChipOfCore(c)
 		}
@@ -1059,7 +1146,7 @@ func (ex *Executor) execute(prog *schedule.Program) error {
 		if ex.staging && ex.arenas == nil {
 			ex.arenas = make([]*Arena, ex.team.Size())
 			for c := range ex.arenas {
-				a, err := NewArena(ex.arenaBlocks, ex.operands.Q())
+				a, err := NewArena(ex.arenaBlocks, ex.operands)
 				if err != nil {
 					return err
 				}
@@ -1072,7 +1159,7 @@ func (ex *Executor) execute(prog *schedule.Program) error {
 			// arenas were drained empty at the end of their last Run.
 			shared := make([]*SharedArena, ex.chips)
 			for i := range shared {
-				sa, err := NewSharedArena(ex.sharedBlocks, ex.operands.Q())
+				sa, err := NewSharedArena(ex.sharedBlocks, ex.operands)
 				if err != nil {
 					return err
 				}
@@ -1113,12 +1200,8 @@ func (ex *Executor) execute(prog *schedule.Program) error {
 	}
 	if ex.err == nil && ex.mode == ModePacked {
 		for c, ar := range ex.arenas {
-			_, err := ar.Drain(func(l schedule.Line, rows, cols int, data []float64) error {
-				dst, err := ex.block(l)
-				if err != nil {
-					return err
-				}
-				if err := matrix.Unpack(dst, data); err != nil {
+			_, err := ar.Drain(func(id matrix.TileID, rows, cols int, data []float64) error {
+				if err := ex.operands.UnpackTile(id, data); err != nil {
 					return err
 				}
 				ex.md[c].writeBack(rows * cols)
@@ -1135,9 +1218,9 @@ func (ex *Executor) execute(prog *schedule.Program) error {
 		// then the shared arena writes to memory — the reverse order
 		// would let a stale shared copy overwrite a fresher core result.
 		for c, ar := range ex.arenas {
-			_, err := ar.Drain(func(l schedule.Line, rows, cols int, data []float64) error {
-				home := ex.home(l)
-				if err := ex.shared[home].Absorb(l, rows, cols, data); err != nil {
+			_, err := ar.Drain(func(id matrix.TileID, rows, cols int, data []float64) error {
+				home := ex.home(id)
+				if err := ex.shared[home].Absorb(id, rows, cols, data); err != nil {
 					return err
 				}
 				ex.md[c].writeBack(rows * cols)
@@ -1155,12 +1238,8 @@ func (ex *Executor) execute(prog *schedule.Program) error {
 			if ex.err != nil {
 				break
 			}
-			_, err := sa.Drain(func(l schedule.Line, rows, cols int, data []float64) error {
-				dst, err := ex.block(l)
-				if err != nil {
-					return err
-				}
-				if err := matrix.Unpack(dst, data); err != nil {
+			_, err := sa.Drain(func(id matrix.TileID, rows, cols int, data []float64) error {
+				if err := ex.operands.UnpackTile(id, data); err != nil {
 					return err
 				}
 				ex.ms.writeBack(rows * cols)

@@ -1,10 +1,12 @@
 package parallel
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/algo"
+	"repro/internal/faultinject"
 	"repro/internal/machine"
 	"repro/internal/matrix"
 	"repro/internal/schedule"
@@ -434,5 +436,102 @@ func TestSharedUnstageWhileCoreResidentFails(t *testing.T) {
 	err = ex.Run(prog)
 	if err == nil || !strings.Contains(err.Error(), "still holds") {
 		t.Fatalf("inclusion violation not rejected: %v", err)
+	}
+}
+
+// A line outside the operand binding has no tile id; recording gives it
+// a placeholder, and replay must still fail at the op that touches it —
+// the same (region, core, index) the coordinate-keyed index failed at —
+// with a *RunError naming the line.
+func TestOutOfRangeLineFailsAtItsOp(t *testing.T) {
+	bad := schedule.LineA(0, 7) // the binding has 2×2 tiles per operand
+	a00, b00, c00 := schedule.LineA(0, 0), schedule.LineB(0, 0), schedule.LineC(0, 0)
+	coreStage := func(b schedule.Backend) {
+		b.Parallel(func(c int, ops schedule.CoreSink) {
+			if c == 0 {
+				ops.Stage(a00)
+				ops.Stage(b00)
+				ops.Stage(c00)
+				ops.Compute(0, 0, 0)
+				ops.Unstage(c00)
+				ops.Unstage(b00)
+				ops.Unstage(a00)
+				return
+			}
+			ops.Stage(schedule.LineA(1, 0))
+			ops.Stage(bad)
+			ops.Unstage(bad)
+			ops.Unstage(schedule.LineA(1, 0))
+		})
+	}
+	driverStage := func(b schedule.Backend) {
+		b.StageShared(a00)
+		b.StageShared(bad)
+		b.Parallel(func(c int, ops schedule.CoreSink) {
+			if c == 0 {
+				ops.Stage(a00)
+				ops.Unstage(a00)
+			}
+		})
+		b.UnstageShared(bad)
+		b.UnstageShared(a00)
+	}
+	applySource := func(b schedule.Backend) {
+		b.Parallel(func(c int, ops schedule.CoreSink) {
+			if c == 0 {
+				ops.Stage(c00)
+				ops.Stage(a00)
+				ops.Apply(schedule.MulAdd, c00, a00, bad)
+				ops.Unstage(a00)
+				ops.Unstage(c00)
+			}
+		})
+	}
+	for _, tc := range []struct {
+		name string
+		body func(schedule.Backend)
+		mode Mode
+		want schedule.OpRef
+		site faultinject.OpKind
+		line schedule.Line
+	}{
+		{"core-stage", coreStage, ModePacked, schedule.OpRef{Region: 0, Core: 1, Index: 1}, faultinject.Stage, bad},
+		{"driver-stage", driverStage, ModeShared, schedule.OpRef{Region: -1, Core: schedule.DriverCore, Index: 1}, faultinject.StageShared, bad},
+		{"driver-stage", driverStage, ModeSharedPipelined, schedule.OpRef{Region: 0, Core: schedule.DriverCore, Index: 1}, faultinject.StageShared, bad},
+		{"apply-source", applySource, ModePacked, schedule.OpRef{Region: 0, Core: 0, Index: 2}, faultinject.Apply, c00},
+		{"apply-source", applySource, ModeView, schedule.OpRef{Region: 0, Core: 0, Index: 0}, faultinject.Apply, c00},
+	} {
+		t.Run(tc.name+"/"+tc.mode.String(), func(t *testing.T) {
+			team, err := NewTeam(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer team.Close()
+			tr, err := matrix.NewTriple(2, 2, 2, 4, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog := &schedule.Program{
+				Algorithm: "out-of-range",
+				Cores:     2,
+				Resources: schedule.Resources{SharedBlocks: 4, CoreBlocks: 4},
+				Body:      tc.body,
+			}
+			ex, err := NewExecutor(team, tr, nil, tc.mode, 4, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = ex.Run(prog)
+			var re *RunError
+			if !errors.As(err, &re) {
+				t.Fatalf("Run = %v, want a *RunError", err)
+			}
+			if re.Op != tc.want || re.Site != tc.site || re.Line != tc.line || !re.HasOp {
+				t.Fatalf("failed at %+v (%v %v), want %+v (%v %v): %v", re.Op, re.Site, re.Line, tc.want, tc.site, tc.line, err)
+			}
+			if !strings.Contains(err.Error(), bad.String()) {
+				t.Fatalf("error does not name %v: %v", bad, err)
+			}
+		})
 	}
 }

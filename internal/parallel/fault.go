@@ -92,7 +92,7 @@ func checksum(data []float64) uint64 {
 
 // opError wraps a worker-op failure with its full provenance. Errors
 // that are already RunErrors pass through untouched.
-func (ex *Executor) opError(ref schedule.OpRef, site faultinject.OpKind, op execOp, err error) error {
+func (ex *Executor) opError(ref schedule.OpRef, op execOp, err error) error {
 	var re *RunError
 	if errors.As(err, &re) {
 		return err
@@ -100,9 +100,9 @@ func (ex *Executor) opError(ref schedule.OpRef, site faultinject.OpKind, op exec
 	return &RunError{
 		Algorithm: ex.algorithm,
 		Op:        ref,
-		Site:      site,
+		Site:      siteOf(op),
 		Kernel:    op.kernel,
-		Line:      op.line,
+		Line:      ex.line(op.line),
 		HasOp:     true,
 		Err:       err,
 	}

@@ -510,6 +510,32 @@ func TestTeamLaunchAfterCloseFaults(t *testing.T) {
 	}
 }
 
+// TestTeamLaunchBeforeJoinFaults: the Team runs one launch at a time;
+// a second Launch before the first is joined fails cleanly instead of
+// clobbering the shared join state, and the first launch still joins.
+func TestTeamLaunchBeforeJoinFaults(t *testing.T) {
+	team, err := NewTeam(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer team.Close()
+	release := make(chan struct{})
+	wait := team.Launch(func(int) error {
+		<-release
+		return nil
+	})
+	if err := team.Launch(func(int) error { return nil })(); err == nil || !strings.Contains(err.Error(), "not joined") {
+		t.Fatalf("Launch before the join: %v", err)
+	}
+	close(release)
+	if err := wait(); err != nil {
+		t.Fatalf("first launch: %v", err)
+	}
+	if err := team.Run(func(int) error { return nil }); err != nil {
+		t.Fatalf("team unusable after a refused launch: %v", err)
+	}
+}
+
 // waitNoGoroutineLeak asserts the goroutine count settles back to the
 // baseline, retrying briefly: worker goroutines observe the channel
 // close asynchronously after Close returns.

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -219,53 +220,63 @@ func TestMultiplyAccumulates(t *testing.T) {
 // executor modes, so `go test -bench Executor` prints the view vs
 // packed vs shared vs shared-pipelined comparison the benchmark
 // pipeline records at full scale in BENCH_gemm.json
-// (cmd/gemm -bench-json). The workload is 16×16 blocks of 32×32
-// (n=512) to stay benchmark-sized; GFLOP/s is reported as a custom
-// metric.
+// (cmd/gemm -bench-json). Two grids stay benchmark-sized: q=32 at
+// 16×16 blocks (n=512), where kernels dominate, and q=8 at 32×32 blocks
+// (n=256), 64× smaller tiles, where the per-transfer and per-op driver
+// overhead does. GFLOP/s and ns/transfer (run time over the blocks moved
+// on the MS and MD streams) are reported as custom metrics.
 func BenchmarkExecutor(b *testing.B) {
-	mach := machine.Machine{P: 4, CS: 977, CD: 21, SigmaS: 1, SigmaD: 4, Q: 32}
-	const order = 16
-	flops := 2 * float64(order*mach.Q) * float64(order*mach.Q) * float64(order*mach.Q)
-	for _, name := range algorithms() {
-		for _, mode := range []Mode{ModeView, ModePacked, ModeShared, ModeSharedPipelined} {
-			b.Run(name+"/"+mode.String(), func(b *testing.B) {
-				tr, err := matrix.NewTriple(order, order, order, mach.Q, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Prepare once, run many: team, executor and program
-				// live across iterations, so per-iteration work is the
-				// executed schedule itself (validation is cached by
-				// program pointer after the first Run).
-				a, err := algo.ByName(name)
-				if err != nil {
-					b.Fatal(err)
-				}
-				prog, err := a.Schedule(mach, algo.Workload{M: order, N: order, Z: order})
-				if err != nil {
-					b.Fatal(err)
-				}
-				team, err := NewTeam(mach.P)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer team.Close()
-				ex, err := NewExecutor(team, tr, nil, mode, mach.CD, mach.CS)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := ex.Run(prog); err != nil {
+	for _, g := range []struct{ q, order int }{{32, 16}, {8, 32}} {
+		mach := machine.Machine{P: 4, CS: 977, CD: 21, SigmaS: 1, SigmaD: 4, Q: g.q}
+		order := g.order
+		flops := 2 * float64(order*mach.Q) * float64(order*mach.Q) * float64(order*mach.Q)
+		for _, name := range algorithms() {
+			for _, mode := range []Mode{ModeView, ModePacked, ModeShared, ModeSharedPipelined} {
+				b.Run(fmt.Sprintf("q%d/%s/%v", g.q, name, mode), func(b *testing.B) {
+					tr, err := matrix.NewTriple(order, order, order, mach.Q, 1)
+					if err != nil {
 						b.Fatal(err)
 					}
-				}
-				b.StopTimer()
-				if s := b.Elapsed().Seconds(); s > 0 {
+					// Prepare once, run many: team, executor and program
+					// live across iterations, so per-iteration work is the
+					// executed schedule itself (validation is cached by
+					// program pointer after the first Run).
+					a, err := algo.ByName(name)
+					if err != nil {
+						b.Fatal(err)
+					}
+					prog, err := a.Schedule(mach, algo.Workload{M: order, N: order, Z: order})
+					if err != nil {
+						b.Fatal(err)
+					}
+					team, err := NewTeam(mach.P)
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer team.Close()
+					ex, err := NewExecutor(team, tr, nil, mode, mach.CD, mach.CS)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := ex.Run(prog); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StopTimer()
+					s := b.Elapsed().Seconds()
+					if s <= 0 {
+						return
+					}
 					b.ReportMetric(flops*float64(b.N)/s/1e9, "GFLOP/s")
-				}
-			})
+					tf := ex.Traffic()
+					if blocks := tf.MS.StageBlocks + tf.MS.WriteBackBlocks + tf.MD.StageBlocks + tf.MD.WriteBackBlocks; blocks > 0 {
+						b.ReportMetric(s*1e9/float64(b.N)/float64(blocks), "ns/transfer")
+					}
+				})
+			}
 		}
 	}
 }

@@ -138,17 +138,13 @@ func (ex *Executor) runPipelined(prog *schedule.Program) error {
 		}
 		ex.stageWait += time.Since(start)
 
-		start = time.Now()
 		// Each worker stamps its finish time so the window can be split
 		// honestly below: the stamps are per-core slots, ordered against
-		// the driver's read by the join. The zero Time of a core whose
-		// replay never ran (sticky error) reads as "finished at launch".
-		finished := make([]time.Time, len(regions[r]))
-		wait := ex.team.Launch(func(c int) error {
-			err := ex.replayOps(c, r, regions[r][c])
-			finished[c] = time.Now()
-			return err
-		})
+		// the driver's read by the join. A stamp older than the launch is
+		// a stale one from an earlier region and reads as "finished at
+		// launch".
+		start = time.Now()
+		wait := ex.launch(r, regions[r])
 		// The driver is the stager while the workers compute: retire the
 		// current gap's trailing write-backs, then prefetch the next
 		// region's stages into spare slots. A staging error must not
@@ -173,16 +169,14 @@ func (ex *Executor) runPipelined(prog *schedule.Program) error {
 		// stage wait, not inflate the overlap efficiency.
 		window := time.Since(start)
 		workerSpan := window
-		var lastFinish time.Time
-		for _, t := range finished {
+		lastFinish := start
+		for _, t := range ex.finished {
 			if t.After(lastFinish) {
 				lastFinish = t
 			}
 		}
-		if !lastFinish.IsZero() {
-			if span := lastFinish.Sub(start); span >= 0 && span < window {
-				workerSpan = span
-			}
+		if span := lastFinish.Sub(start); span > 0 && span < window {
+			workerSpan = span
 		}
 		ex.computeTime += workerSpan
 		ex.stageWait += window - workerSpan

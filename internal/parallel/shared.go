@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/matrix"
-	"repro/internal/schedule"
 )
 
 // SharedArena is the physical realisation of the paper's shared cache:
@@ -23,27 +22,31 @@ import (
 // upward into the shared copy before the shared level writes it back to
 // memory.
 //
+// Tiles are addressed by their dense id in the operand binding (see
+// Arena).
+//
 // Concurrency contract: Stage, Unstage and Drain run on a single
 // goroutine — the driving goroutine between parallel regions in
 // ModeShared, the stager goroutine (possibly concurrent with worker
 // regions) in ModeSharedPipelined. Refill and Absorb run on worker
-// goroutines inside regions. The slot index and free list are guarded
-// by a readers-writer lock so the pipelined stager may restage free
-// slots while workers look up resident ones; the tile *data* needs no
-// lock, because every concurrent pairing addresses disjoint lines — the
-// schedules guarantee that dirty (C) blocks are disjoint across cores,
-// and schedule.PlanPipeline proves the stager's prefetches and retires
+// goroutines inside regions. The lock guards the slot table (the
+// tile-id → slot index and each slot's header fields) and the free
+// list, so the pipelined stager may restage free slots while workers
+// look up resident ones; the tile *data* needs no lock, because every
+// concurrent pairing addresses disjoint tiles — the schedules guarantee
+// that dirty (C) blocks are disjoint across cores, and
+// schedule.PlanPipeline proves the stager's prefetches and retires
 // never address a line the running region touches. The race detector
 // verifies the contract over the whole test suite.
 type SharedArena struct {
-	mu    sync.RWMutex // guards arena.index, arena.free and slot headers
+	mu    sync.RWMutex // guards the slot table and the free list
 	arena Arena
 }
 
 // NewSharedArena allocates a shared staging buffer of capBlocks tiles
-// of q×q values — the executor's CS.
-func NewSharedArena(capBlocks, q int) (*SharedArena, error) {
-	a, err := newArena(capBlocks, q, "shared arena")
+// for the operand binding tiles — the executor's CS.
+func NewSharedArena(capBlocks int, tiles *matrix.Operands) (*SharedArena, error) {
+	a, err := newArena(capBlocks, tiles, "shared arena")
 	if err != nil {
 		return nil, err
 	}
@@ -63,12 +66,12 @@ func (sa *SharedArena) setVerify(on bool) {
 	sa.mu.Unlock()
 }
 
-// corrupt flips bit of the first value of l's resident copy — the
+// corrupt flips bit of the first value of id's resident copy — the
 // physical effect of an injected ActCorrupt at a StageShared point. A
-// non-resident l is a no-op (the stage that was to be corrupted failed).
-func (sa *SharedArena) corrupt(l schedule.Line, bit uint) {
+// non-resident id is a no-op (the stage that was to be corrupted failed).
+func (sa *SharedArena) corrupt(id matrix.TileID, bit uint) {
 	sa.mu.RLock()
-	slot := sa.arena.tile(l)
+	slot := sa.arena.tile(id)
 	sa.mu.RUnlock()
 	if slot != nil {
 		corruptData(slot.data, bit)
@@ -103,70 +106,65 @@ func (sa *SharedArena) Resident() int {
 	return sa.arena.Resident()
 }
 
-// Contains reports whether l is shared-resident.
-func (sa *SharedArena) Contains(l schedule.Line) bool {
+// Contains reports whether id is shared-resident.
+func (sa *SharedArena) Contains(id matrix.TileID) bool {
 	sa.mu.RLock()
 	defer sa.mu.RUnlock()
-	return sa.arena.tile(l) != nil
+	return sa.arena.tile(id) != nil
 }
 
-// Stage packs the src tile into a free slot under line l: the physical
-// "load into the shared cache" (one MS transfer). The tile's value
-// count is returned for traffic accounting. Only the slot claim holds
-// the lock; the copy itself runs unlocked — the slot was free, so no
-// worker can be addressing it.
-func (sa *SharedArena) Stage(l schedule.Line, src *matrix.Dense) (values int, err error) {
+// Stage packs operand tile id into a free slot: the physical "load into
+// the shared cache" (one MS transfer). The tile's value count is
+// returned for traffic accounting. Only the slot claim holds the lock;
+// the copy itself runs unlocked — the slot was free, so no worker can
+// be addressing it.
+func (sa *SharedArena) Stage(id matrix.TileID) (values int, err error) {
 	sa.mu.Lock()
-	slot, err := sa.arena.alloc(l, src.Rows(), src.Cols())
+	slot, err := sa.arena.allocTile(id)
 	sa.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
-	if _, err := matrix.Pack(slot.data, src); err != nil {
-		return 0, err
-	}
-	if sa.arena.verify {
-		slot.sum = checksum(slot.data)
-	}
-	return src.Rows() * src.Cols(), nil
+	return sa.arena.fill(slot)
 }
 
-// Unstage frees the slot holding l, writing the packed tile back into
-// dst first if it is dirty — the "write back to main memory" of the
-// pseudocode. It reports the tile's value count and whether a physical
-// write-back happened. The released data stays valid for the unlocked
-// copy because only the single staging goroutine can restage the slot.
-func (sa *SharedArena) Unstage(l schedule.Line, dst *matrix.Dense) (values int, dirty bool, err error) {
+// Unstage frees the slot holding id, writing the packed tile back into
+// its operand matrix first if it is dirty — the "write back to main
+// memory" of the pseudocode. It reports the tile's value count and
+// whether a physical write-back happened. The released data stays valid
+// for the unlocked copy because only the single staging goroutine can
+// restage the slot.
+func (sa *SharedArena) Unstage(id matrix.TileID) (values int, dirty bool, err error) {
 	sa.mu.Lock()
-	rows, cols, data, dirty, err := sa.arena.release(l)
+	_, _, data, dirty, err := sa.arena.release(id)
 	sa.mu.Unlock()
 	if err != nil {
 		return 0, false, err
 	}
 	if dirty {
-		if err := matrix.Unpack(dst, data); err != nil {
+		if err := sa.arena.tiles.UnpackTile(id, data); err != nil {
 			return 0, false, err
 		}
 	}
-	return rows * cols, dirty, nil
+	return len(data), dirty, nil
 }
 
-// Refill stages the shared-resident packed image of l into the core
+// Refill stages the shared-resident packed image of id into the core
 // arena dst: the intra-chip shared→core copy (one MD transfer).
 // Refilling a block that is not shared-resident is an error — the
 // inclusive hierarchy's "it is the user responsibility to guarantee
 // that a given data is present in every cache below the target cache".
-func (sa *SharedArena) Refill(dst *Arena, l schedule.Line) (values int, err error) {
+func (sa *SharedArena) Refill(dst *Arena, id matrix.TileID) (values int, err error) {
 	sa.mu.RLock()
-	slot := sa.arena.tile(l)
+	slot := sa.arena.tile(id)
 	sa.mu.RUnlock()
 	if slot == nil {
-		return 0, fmt.Errorf("parallel: core refill of block %v not resident in the shared arena", l)
+		return 0, sa.nonResident(id, "parallel: core refill of block %v not resident in the shared arena")
 	}
-	if err := sa.arena.check(slot, l); err != nil {
+	if err := sa.arena.check(slot); err != nil {
 		return 0, err
 	}
-	if err := dst.stagePacked(l, slot.rows, slot.cols, slot.data); err != nil {
+	if err := dst.stagePacked(id, slot.rows, slot.cols, slot.data); err != nil {
 		return 0, err
 	}
 	return slot.rows * slot.cols, nil
@@ -176,16 +174,16 @@ func (sa *SharedArena) Refill(dst *Arena, l schedule.Line) (values int, err erro
 // resident shared copy and marks it dirty — the upward half of the MD
 // stream, mirroring EvictDistributed's merge under IDEAL. Absorbing
 // into a non-resident block is an error (inclusion was violated).
-func (sa *SharedArena) Absorb(l schedule.Line, rows, cols int, data []float64) error {
+func (sa *SharedArena) Absorb(id matrix.TileID, rows, cols int, data []float64) error {
 	sa.mu.RLock()
-	slot := sa.arena.tile(l)
+	slot := sa.arena.tile(id)
 	sa.mu.RUnlock()
 	if slot == nil {
-		return fmt.Errorf("parallel: write-back of %v, but it is not resident in the shared arena", l)
+		return sa.nonResident(id, "parallel: write-back of %v, but it is not resident in the shared arena")
 	}
 	if slot.rows != rows || slot.cols != cols {
 		return fmt.Errorf("parallel: write-back of %dx%d tile %v over a %dx%d shared copy",
-			rows, cols, l, slot.rows, slot.cols)
+			rows, cols, sa.arena.tiles.Coord(id), slot.rows, slot.cols)
 	}
 	copy(slot.data, data[:rows*cols])
 	slot.dirty = true
@@ -199,8 +197,18 @@ func (sa *SharedArena) Absorb(l schedule.Line, rows, cols int, data []float64) e
 // resident tile (see Arena.Drain). The executor calls it at end of run
 // after the core arenas have drained upward, so every surviving dirty
 // tile carries the freshest data.
-func (sa *SharedArena) Drain(merge func(l schedule.Line, rows, cols int, data []float64) error) (int, error) {
+func (sa *SharedArena) Drain(merge func(id matrix.TileID, rows, cols int, data []float64) error) (int, error) {
 	sa.mu.Lock()
 	defer sa.mu.Unlock()
 	return sa.arena.Drain(merge)
+}
+
+// nonResident is the inclusion-violation error of an op on a tile the
+// shared arena does not hold, format naming the tile's coordinate — or
+// the range error of an id outside the binding.
+func (sa *SharedArena) nonResident(id matrix.TileID, format string) error {
+	if !sa.arena.inRange(id) {
+		return sa.arena.outOfRange(id)
+	}
+	return fmt.Errorf(format, sa.arena.tiles.Coord(id))
 }

@@ -34,12 +34,25 @@ import (
 // Team refuses new work with an error instead of panicking on its
 // closed channels, so a defer-ordering mistake in a caller degrades to
 // a clean failure.
+//
+// A Team runs one launch at a time, and every launch reuses the same
+// join state (body, error slots, wait group), so dispatching a region
+// allocates nothing. A Launch while an earlier launch is still unjoined
+// fails cleanly, like one on a closed Team.
 type Team struct {
 	p      int
-	jobs   []chan func()
+	jobs   []chan struct{}
 	mu     sync.Mutex
 	closed bool
+	busy   bool // a launch is dispatched and not yet joined
 	close  sync.Once
+
+	// Launch state, written by the launching goroutine before the jobs
+	// are signalled and read back after the wait group drains.
+	body func(core int) error
+	errs []error
+	wg   sync.WaitGroup
+	join func() error // t.wait, bound once so Launch can return it for free
 }
 
 // NewTeam starts p workers.
@@ -49,17 +62,23 @@ func NewTeam(p int) (*Team, error) {
 	}
 	t := &Team{
 		p:    p,
-		jobs: make([]chan func(), p),
+		jobs: make([]chan struct{}, p),
+		errs: make([]error, p),
 	}
+	t.join = t.wait
 	for c := 0; c < p; c++ {
-		t.jobs[c] = make(chan func())
-		go func(ch <-chan func()) {
-			for f := range ch {
-				f()
-			}
-		}(t.jobs[c])
+		t.jobs[c] = make(chan struct{})
+		go t.work(c)
 	}
 	return t, nil
+}
+
+// work is worker c's loop: one body per signal on its job channel.
+func (t *Team) work(c int) {
+	for range t.jobs[c] {
+		t.errs[c] = isolated(c, t.body)
+		t.wg.Done()
+	}
 }
 
 // Size returns the number of workers.
@@ -78,40 +97,56 @@ func (t *Team) Run(body func(core int) error) error {
 // with the join: calling the returned function blocks until all workers
 // finish and yields the first error. Between Launch and the join the
 // caller runs concurrently with the workers — the pipelined executor
-// uses that window to stage shared blocks while the team computes.
+// uses that window to stage shared blocks while the team computes. The
+// join must be called exactly once before the next Launch.
 //
 // Worker panics are recovered into *RunError values and reported
 // through the join; every worker's wg.Done runs unconditionally, so a
 // panicking body can never leave the join waiting. Launching on a
-// closed Team returns a join that fails immediately.
+// closed Team, or before the previous launch was joined, returns a
+// join that fails immediately.
 func (t *Team) Launch(body func(core int) error) (wait func() error) {
 	t.mu.Lock()
-	if t.closed {
+	if t.closed || t.busy {
+		what := "a closed Team"
+		if !t.closed {
+			what = "a Team whose previous launch is not joined"
+		}
 		t.mu.Unlock()
 		return func() error {
-			return fmt.Errorf("parallel: Launch on a closed Team of %d workers", t.p)
+			return fmt.Errorf("parallel: Launch on %s of %d workers", what, t.p)
 		}
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, t.p)
-	wg.Add(t.p)
-	for c := 0; c < t.p; c++ {
-		c := c
-		t.jobs[c] <- func() {
-			defer wg.Done()
-			errs[c] = isolated(c, body)
-		}
+	t.busy = true
+	t.body = body
+	t.wg.Add(t.p)
+	// The sends stay under mu so Close cannot close a channel mid-
+	// dispatch. They do not block for long: the previous launch was
+	// joined, so every worker is parked on its channel.
+	for _, ch := range t.jobs {
+		ch <- struct{}{}
 	}
 	t.mu.Unlock()
-	return func() error {
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
+	return t.join
+}
+
+// wait is the join of the current launch: it blocks until every worker
+// finished, returns the first error, and readies the Team for the next
+// launch.
+func (t *Team) wait() error {
+	t.wg.Wait()
+	var first error
+	for c, err := range t.errs {
+		if first == nil {
+			first = err
 		}
-		return nil
+		t.errs[c] = nil
 	}
+	t.mu.Lock()
+	t.body = nil
+	t.busy = false
+	t.mu.Unlock()
+	return first
 }
 
 // isolated runs body(core) with panic isolation: a panic becomes a
